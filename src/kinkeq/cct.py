@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import (
+    InternalError,
     Not2x2,
     NotPositiveDefinite,
     NotPositiveSemidefinite,
@@ -113,7 +114,8 @@ def icct_trace(C: IntMatrix) -> Trace:
             for i in range(m)
         ]
     )
-    assert current == end
+    if current != end:
+        raise InternalError("replayed I + CC^T chain does not end at -(I + C^T C)")
     return Trace(start, tuple(moves), end)
 
 
@@ -241,7 +243,8 @@ def reduce_binary_form(A: SymMatrix) -> tuple[SymMatrix, IntMatrix]:
     if b < 0 and (a == -b or a == c):
         absorb(1, 0, 0, -1)
 
-    assert abs(b) <= a <= c and not (b < 0 and (a == abs(b) or a == c))
+    if not (abs(b) <= a <= c) or (b < 0 and (a == abs(b) or a == c)):
+        raise InternalError(f"binary form [[{a}, {b}], [{b}, {c}]] is not reduced")
     reduced = SymMatrix.from_rows([[a, b], [b, c]])
     return reduced, IntMatrix.from_rows(e, cols=2)
 

@@ -144,10 +144,11 @@ def _run(args: argparse.Namespace) -> int:
             trace = icct_trace(parse_int_matrix(_read(args.cfile)))
             sys.stdout.write(serialize_trace(trace))
         else:
-            reduced, witness = reduce_binary_form(parse_matrix(_read(args.file)))
+            A = parse_matrix(_read(args.file))
+            reduced, witness = reduce_binary_form(A)
             sys.stdout.write(serialize_matrix(reduced))
             sys.stdout.write(serialize_int_matrix(witness))
-            factor = cct_2x2(parse_matrix(_read(args.file)))
+            factor = cct_2x2(A)
             sys.stdout.write(serialize_int_matrix(factor.matrix))
     elif args.command == "goeritz":
         sys.stdout.write(serialize_matrix(goeritz_matrix(parse_diagram(_read(args.file)))))

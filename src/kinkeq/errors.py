@@ -5,6 +5,10 @@ class KinkEqError(Exception):
     """Base class for all library errors."""
 
 
+class InternalError(KinkEqError):
+    """A result failed its own postcondition: a library bug, not bad input."""
+
+
 class SizeMismatch(KinkEqError):
     pass
 

@@ -4,6 +4,13 @@ Everything here is pure and immutable: matrices are tuples of tuples of
 ``fractions.Fraction`` (symmetric case) or ``int`` (rectangular case), so
 values can be shared freely across threads.  The 0x0 matrix is a legitimate
 value throughout, with determinant 1 and inertia (0, 0, 0).
+
+The kernels compute on an integer lift: the common denominator d of a
+matrix and the integer rows of d*G.  ``determinant`` and ``inertia`` use
+fraction-free (Bareiss) elimination on it, and ``congruence`` multiplies
+by the nonzero entries of P in integers, forming one ``Fraction`` per
+output entry.  Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22 (1968).
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
+    InternalError,
     NotIntegerMatrix,
     NotPrimitive,
     NotUnimodular,
@@ -175,22 +183,42 @@ def det_int(rows: int, entries: Sequence[Sequence[int]]) -> int:
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
+        _bareiss_step(a, k, prev)
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
 
+def _bareiss_step(a: list[list[int]], p: int, prev: int) -> None:
+    """Eliminate below the pivot a[p][p] in place, fraction-free.
+
+    Row i > p becomes (piv*a_i - a_ip*a_p) // prev on the columns after p;
+    by Sylvester's identity every division is exact when prev is the
+    previous pivot.  Rows with a_ip = 0 are only rescaled.
+    """
+    n = len(a)
+    ap = a[p]
+    piv = ap[p]
+    for i in range(p + 1, n):
+        ai = a[i]
+        f = ai[p]
+        if f:
+            for j in range(p + 1, n):
+                ai[j] = (ai[j] * piv - f * ap[j]) // prev
+        elif piv != prev:
+            for j in range(p + 1, n):
+                ai[j] = ai[j] * piv // prev
+
+
+def _lift(G: SymMatrix) -> tuple[int, list[list[int]]]:
+    """Common denominator d > 0 of G and the integer rows of d*G."""
+    d = lcm(*{x.denominator for row in G.entries for x in row})
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in G.entries]
+
+
 def determinant(G: SymMatrix) -> Fraction:
     """Exact determinant via Bareiss on a common-denominator integer lift."""
-    n = G.n
-    if n == 0:
-        return Fraction(1)
-    d = lcm(*[x.denominator for row in G.entries for x in row])
-    lift = [[int(x * d) for x in row] for row in G.entries]
-    return Fraction(det_int(n, lift), d**n)
+    d, lift = _lift(G)
+    return Fraction(det_int(G.n, lift), d**G.n)
 
 
 def is_unimodular(P: IntMatrix) -> bool:
@@ -200,17 +228,16 @@ def is_unimodular(P: IntMatrix) -> bool:
     return det_int(P.rows, P.entries) in (1, -1)
 
 
-def _sym_diagonalize(G: SymMatrix, track: bool):
-    """Congruence-diagonalize G exactly; returns (diagonal, L or None).
+def _pivot(m: list[list], p: int, L: list[list] | None = None) -> bool:
+    """Bring a nonzero entry to m[p][p] by a congruence on indices >= p.
 
-    When the trailing block has an all-zero diagonal but a nonzero
-    off-diagonal entry, adding one row/column into another creates a
-    nonzero pivot (2*g_ij), so the sweep always terminates.  With
-    ``track`` the rational transform L with L G L^T = diag is returned.
+    Swaps in a later nonzero diagonal entry.  When the trailing diagonal is
+    all zero but some m[i][j] is not, adds row/column j into i (the new
+    m[i][i] is 2*m[i][j] != 0) and swaps it in, so elimination always
+    terminates.  Row operations are repeated on L when given.  Returns
+    False when the trailing block is zero.
     """
-    n = G.n
-    m = [list(row) for row in G.entries]
-    L = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)] if track else None
+    n = len(m)
 
     def swap(i, j):
         m[i], m[j] = m[j], m[i]
@@ -219,55 +246,50 @@ def _sym_diagonalize(G: SymMatrix, track: bool):
         if L is not None:
             L[i], L[j] = L[j], L[i]
 
-    def add_into(i, j):
-        for k in range(n):
-            m[i][k] = m[i][k] + m[j][k]
-        for k in range(n):
-            m[k][i] = m[k][i] + m[k][j]
-        if L is not None:
-            for k in range(n):
-                L[i][k] = L[i][k] + L[j][k]
-
-    p = 0
-    while p < n:
-        if m[p][p] == 0:
-            pivot_row = next((q for q in range(p + 1, n) if m[q][q] != 0), None)
-            if pivot_row is not None:
-                swap(p, pivot_row)
-            else:
-                off = next(
-                    ((i, j) for i in range(p, n) for j in range(i + 1, n) if m[i][j] != 0),
-                    None,
-                )
-                if off is None:
-                    break  # trailing block is zero
-                i, j = off
-                add_into(i, j)  # m[i][i] becomes 2*m[i][j] != 0
-                if i != p:
-                    swap(p, i)
-        pivot = m[p][p]
-        for i in range(p + 1, n):
-            f = m[i][p] / pivot
-            if f == 0:
-                continue
-            for j in range(p + 1, n):
-                m[i][j] -= f * m[p][j]
-            if L is not None:
-                for j in range(n):
-                    L[i][j] -= f * L[p][j]
-        for i in range(p + 1, n):
-            m[p][i] = m[i][p] = Fraction(0)
-        p += 1
-    return [m[i][i] for i in range(n)], L
+    if m[p][p] != 0:
+        return True
+    pivot_row = next((q for q in range(p + 1, n) if m[q][q] != 0), None)
+    if pivot_row is not None:
+        swap(p, pivot_row)
+        return True
+    off = next(((i, j) for i in range(p, n) for j in range(i + 1, n) if m[i][j] != 0), None)
+    if off is None:
+        return False
+    i, j = off
+    m[i] = [x + y for x, y in zip(m[i], m[j])]
+    for row in m:
+        row[i] += row[j]
+    if L is not None:
+        L[i] = [x + y for x, y in zip(L[i], L[j])]
+    if i != p:
+        swap(p, i)
+    return True
 
 
 def inertia(G: SymMatrix) -> Inertia:
-    """Eigenvalue sign counts, by Sylvester's law applied to an exact
-    congruence diagonalization."""
-    diag, _ = _sym_diagonalize(G, track=False)
-    n_plus = sum(1 for d in diag if d > 0)
-    n_minus = sum(1 for d in diag if d < 0)
-    return Inertia(n_plus, n_minus, G.n - n_plus - n_minus)
+    """Eigenvalue sign counts, by Sylvester's law applied to fraction-free
+    symmetric elimination on the integer lift.
+
+    Bareiss updates keep every entry an integer minor of the lift; the
+    congruence pivot moves of ``_pivot`` act on the trailing indices only,
+    so the divisions stay exact.  The diagonal entry eliminated at each step
+    is piv/prev, whose sign is read off the two integers.
+    """
+    n = G.n
+    _, a = _lift(G)
+    n_plus = n_minus = 0
+    prev = 1
+    for p in range(n):
+        if not _pivot(a, p):
+            break
+        piv = a[p][p]
+        if (piv > 0) == (prev > 0):
+            n_plus += 1
+        else:
+            n_minus += 1
+        _bareiss_step(a, p, prev)
+        prev = piv
+    return Inertia(n_plus, n_minus, n - n_plus - n_minus)
 
 
 def diagonalizing_congruence(G: SymMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -275,26 +297,51 @@ def diagonalizing_congruence(G: SymMatrix) -> tuple[list[Fraction], list[list[Fr
 
     Row i of L is a witness direction: (row i) G (row i)^T = D[i].
     """
-    diag, L = _sym_diagonalize(G, track=True)
-    return diag, L
+    n = G.n
+    m = [list(row) for row in G.entries]
+    L = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for p in range(n):
+        if not _pivot(m, p, L):
+            break
+        pivot = m[p][p]
+        for i in range(p + 1, n):
+            f = m[i][p] / pivot
+            if f == 0:
+                continue
+            for j in range(p + 1, n):
+                m[i][j] -= f * m[p][j]
+            for j in range(n):
+                L[i][j] -= f * L[p][j]
+        for i in range(p + 1, n):
+            m[p][i] = m[i][p] = Fraction(0)
+    return [m[i][i] for i in range(n)], L
 
 
 def congruence(G: SymMatrix, P: IntMatrix) -> SymMatrix:
-    """Return P G P^T for unimodular P of the same size as G."""
+    """Return P G P^T for unimodular P of the same size as G.
+
+    Works on the integer lift d*G and on the nonzero entries of each row of
+    P, which for the reducer's shears and permutations are few.
+    """
     if P.rows != P.cols or P.rows != G.n:
         raise SizeMismatch(f"P is {P.rows}x{P.cols}, G is {G.n}x{G.n}")
     if not is_unimodular(P):
         raise NotUnimodular(f"det(P) = {det_int(P.rows, P.entries)}")
     n = G.n
-    pg = [
-        [sum(P.entries[i][k] * G.entries[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    rows = [
-        [sum(pg[i][k] * P.entries[j][k] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    return SymMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
+    d, g = _lift(G)
+    sparse = [[(k, p) for k, p in enumerate(row) if p] for row in P.entries]
+    pg = []  # rows of P (dG)
+    for terms in sparse:
+        acc = [0] * n
+        for k, p in terms:
+            acc = [x + p * y for x, y in zip(acc, g[k])]
+        pg.append(acc)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        r = pg[i]
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = Fraction(sum(r[k] * p for k, p in sparse[j]), d)
+    return SymMatrix(tuple(tuple(row) for row in rows))
 
 
 def extend_primitive(b: Sequence[int]) -> IntMatrix:
@@ -333,8 +380,8 @@ def extend_primitive(b: Sequence[int]) -> IntMatrix:
     if lead == -1:
         for r in range(n):
             p[r][0] = -p[r][0]
-        lead = 1
-    assert lead == 1
+    elif lead != 1:
+        raise InternalError(f"extended-gcd reduction ended at {lead}, not 1")
     return IntMatrix.from_rows(p, cols=n)
 
 

@@ -28,7 +28,10 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 def _parse_rational(token: str, lineno: int | None = None) -> Fraction:
     if not _RATIONAL_RE.match(token):
         raise BadRational(f"bad rational {token!r}", line=lineno)
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise BadRational(f"zero denominator in {token!r}", line=lineno) from None
 
 
 def _format_rational(x: Fraction) -> str:
@@ -236,7 +239,7 @@ def parse_quadratic_form(text: str) -> SymMatrix:
         powers: dict[int, int] = {}
         for factor in body.split("*"):
             if _NUM_RE.match(factor):
-                coeff *= Fraction(factor)
+                coeff *= _parse_rational(factor)
                 continue
             m = _VAR_RE.match(factor)
             if m:

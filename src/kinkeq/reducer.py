@@ -22,18 +22,19 @@ from __future__ import annotations
 from math import isqrt, lcm
 
 from .errors import (
+    InternalError,
     NonpositiveCorner,
     NoPositiveEigenvalue,
     SingularForDefiniteTarget,
     KinkEqError,
 )
 from .exact import (
+    _lift,
     IntMatrix,
     SymMatrix,
     congruence as apply_congruence,
     determinant,
     diagonalizing_congruence,
-    evaluate_form,
     extend_primitive,
     inertia,
     primitive_scale,
@@ -65,7 +66,7 @@ def four_squares(k: int) -> tuple[int, int, int, int]:
                 d = isqrt(r3)
                 if d * d == r3 and d <= c:
                     return (a, b, c, d)
-    raise AssertionError("unreachable: every nonnegative integer is a sum of four squares")
+    raise InternalError("unreachable: every nonnegative integer is a sum of four squares")
 
 
 def find_positive_vector(G: SymMatrix) -> tuple[int, ...]:
@@ -106,8 +107,10 @@ def _shrink_positive_vector(G: SymMatrix, b: tuple[int, ...]) -> tuple[int, ...]
     witness has large entries.
     """
     n = G.n
+    _, g = _lift(G)  # the form of d*G, d > 0, has the same signs, in integers
     u = list(b)
-    value = evaluate_form(G, u)  # maintained incrementally across steps
+    value = sum(u[i] * g[i][j] * u[j] for i in range(n) for j in range(n))
+    # value is maintained incrementally across steps
     changed = True
     passes = 0
     while changed and passes < 32:
@@ -117,8 +120,8 @@ def _shrink_positive_vector(G: SymMatrix, b: tuple[int, ...]) -> tuple[int, ...]
             if u[i] == 0:
                 continue
             # along coordinate i the form is q(t) = a*t^2 + 2*s*t + c
-            a = G[i, i]
-            s = sum(G[i, j] * u[j] for j in range(n) if j != i)
+            a = g[i][i]
+            s = sum(g[i][j] * u[j] for j in range(n) if j != i)
             x = u[i]
             c = value - a * x * x - 2 * s * x
 
@@ -201,7 +204,8 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
         moves.append(Congruence(P))
         G = apply_congruence(G, P)
         n = m
-    assert G[0, 0] == 1
+    if G[0, 0] != 1:
+        raise InternalError(f"corner is {G[0, 0]} after folding in the squares, not 1")
 
     w = [int(G[0, j]) for j in range(1, n)]
     if any(w):
@@ -268,7 +272,7 @@ def reduce(G: SymMatrix, target: str) -> Trace:
     neg_kinks = sum(1 for m in moves if isinstance(m, Kink) and m.sign == -1)
     pos_unkinks = sum(1 for m in moves if isinstance(m, Unkink) and m.sign == 1)
     if neg_kinks > kink_budget or pos_unkinks != start_inertia.n_plus:
-        raise AssertionError(
+        raise InternalError(
             f"move bound violated: {neg_kinks} kinks (budget {kink_budget}), "
             f"{pos_unkinks} unkinks (expected {start_inertia.n_plus})"
         )

@@ -8,6 +8,7 @@ strips the trailing coordinate.
 
 from __future__ import annotations
 
+from .errors import InternalError
 from .exact import IntMatrix, SymMatrix
 from .moves import Congruence, Kink, Move, Trace, Unkink, apply_move
 
@@ -92,7 +93,8 @@ def obstructed_matrix_reduction_trace() -> Trace:
         [0, -1, -1, 0, 1, 0],
         [-1, -1, -1, 0, 0, 1],
     ]
-    assert [[-row[j] for j in range(3)] for row in block_clear[3:]] == c6
+    if [[-row[j] for j in range(3)] for row in block_clear[3:]] != c6:
+        raise InternalError("block_clear does not encode -C6")
     moves.append(_congr(block_clear))
     block_swap = [
         [0, 0, 0, 1, 0, 0],

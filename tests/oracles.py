@@ -1,10 +1,10 @@
 """Independent oracles and random generators for the test suite.
 
 Everything here is deliberately written with different algorithms than the
-package under test: determinants by cofactor expansion, eigenvalue sign
-counts from the exact characteristic polynomial.  Values frozen in the
-tests were computed with these oracles (or checked against published
-figures) before being asserted.
+package under test: determinants by cofactor expansion, congruences by the
+dense rational triple product, eigenvalue sign counts from the exact
+characteristic polynomial.  Values frozen in the tests were computed with
+these oracles (or checked against published figures) before being asserted.
 """
 
 from __future__ import annotations
@@ -31,6 +31,27 @@ def cofactor_det(rows):
         ]
         total += (-1) ** j * Fraction(rows[0][j]) * cofactor_det(minor)
     return total
+
+
+def congruence_oracle(G: SymMatrix, P: IntMatrix) -> SymMatrix:
+    """P G P^T as the textbook double sum over every (k, l), in Fractions."""
+    n = G.n
+    return SymMatrix.from_rows(
+        [
+            [
+                sum(
+                    (
+                        P.entries[i][k] * G.entries[k][l] * P.entries[j][l]
+                        for k in range(n)
+                        for l in range(n)
+                    ),
+                    Fraction(0),
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
 
 
 def charpoly(G: SymMatrix) -> list[Fraction]:

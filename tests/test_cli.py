@@ -147,6 +147,23 @@ def test_parse_error_exit_2(matrix_file, capsys):
     assert main(["inertia", path]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["det"], "sym 1\n3/0\n"),
+        (["verify"], "trace\n3/0\nend 3\n"),
+        (["qform", "3/0*x1^2"], None),
+    ],
+)
+def test_zero_denominator_exit_2(matrix_file, capsys, argv, text):
+    if text is not None:
+        argv = argv + [matrix_file("in.txt", text)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "zero denominator" in err
+    assert err.count("\n") == 1
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["inertia", "/nonexistent/file"]) == 2
 

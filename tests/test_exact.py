@@ -21,19 +21,44 @@ from kinkeq.errors import NotPrimitive, NotUnimodular, SizeMismatch, ZeroVector
 from kinkeq.exact import diagonalizing_congruence, evaluate_form
 from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX
 
-from oracles import cofactor_det, inertia_oracle, random_sym, random_unimodular
+from oracles import (
+    cofactor_det,
+    congruence_oracle,
+    inertia_oracle,
+    random_sym,
+    random_unimodular,
+)
 
-sym_entries = st.integers(min_value=-9, max_value=9)
+sym_entries = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+
+
+def _draw_rows(draw, n, zero_diagonal=False):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                rows[i][j] = rows[j][i] = draw(sym_entries)
+    return rows
 
 
 @st.composite
 def sym_matrices(draw, max_n=5):
+    """Integer or rational entries; some draws have an all-zero diagonal
+    (the add-into pivot case) and some are singular by construction."""
     n = draw(st.integers(min_value=0, max_value=max_n))
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = draw(sym_entries)
-    return SymMatrix.from_rows(rows)
+    shape = draw(st.sampled_from(["generic", "zero_diagonal", "singular"]))
+    if shape == "singular" and n > 0:
+        # [[H, Hc], [c^T H, c^T H c]] has rank at most n - 1
+        m = n - 1
+        H = _draw_rows(draw, m)
+        c = [draw(sym_entries) for _ in range(m)]
+        hc = [sum((H[i][j] * c[j] for j in range(m)), Fraction(0)) for i in range(m)]
+        corner = sum((c[i] * hc[i] for i in range(m)), Fraction(0))
+        return SymMatrix.from_rows([H[i] + [hc[i]] for i in range(m)] + [hc + [corner]])
+    return SymMatrix.from_rows(_draw_rows(draw, n, zero_diagonal=shape == "zero_diagonal"))
 
 
 class TestInertia:
@@ -117,6 +142,14 @@ class TestCongruence:
     def test_rejects_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             congruence(SymMatrix.diagonal([1, 1]), IntMatrix.identity(3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sym_matrices(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_agrees_with_triple_product_oracle(self, G, seed):
+        rng = random.Random(seed)
+        steps = rng.choice([0, 2, 8, 24])  # identity, sparse shears, dense
+        P = random_unimodular(rng, G.n, steps) if G.n else IntMatrix.identity(0)
+        assert congruence(G, P) == congruence_oracle(G, P)
 
     @settings(max_examples=60, deadline=None)
     @given(sym_matrices(), st.integers(min_value=0, max_value=2**32 - 1))

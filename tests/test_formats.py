@@ -50,6 +50,11 @@ class TestMatrixFormat:
             parse_matrix("sym 1\n0.5\n")
         assert exc.value.line == 2
 
+    def test_rejects_zero_denominator(self):
+        with pytest.raises(BadRational) as exc:
+            parse_matrix("sym 1\n3/0\n")
+        assert exc.value.line == 2
+
     def test_rejects_bad_header(self):
         with pytest.raises(ParseError):
             parse_matrix("matrix 2\n1 0\n0 1\n")
@@ -117,6 +122,11 @@ class TestTraceFormat:
         with pytest.raises(ParseError):
             parse_trace("trace\n5\nkink 2\nend 5\n")
 
+    def test_rejects_zero_denominator(self):
+        with pytest.raises(BadRational) as exc:
+            parse_trace("trace\n5\nend 1/0\n")
+        assert exc.value.line == 3
+
 
 class TestQuadraticForm:
     def test_paper_translation(self):
@@ -137,6 +147,10 @@ class TestQuadraticForm:
         assert G == SymMatrix.from_rows(
             [[Fraction(1, 2), Fraction(-1, 2)], [Fraction(-1, 2), 2]]
         )
+
+    def test_rejects_zero_denominator(self):
+        with pytest.raises(BadRational):
+            parse_quadratic_form("3/0*x1^2")
 
     def test_repeated_variable_product(self):
         assert parse_quadratic_form("x1*x1") == SymMatrix.from_rows([[1]])
