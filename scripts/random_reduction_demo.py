@@ -7,7 +7,7 @@ Usage: random_reduction_demo.py [count] [max_size] [seed]
 import random
 import sys
 
-from kinkeq import Kink, NEG_SEMIDEFINITE, Unkink, inertia, reduce, verify_trace
+from kinkeq import NEG_SEMIDEFINITE, inertia, reduce, trace_stats
 from kinkeq.exact import SymMatrix
 
 
@@ -26,13 +26,10 @@ def main():
                 rows[i][j] = rows[j][i] = rng.randint(-4, 4)
         G = SymMatrix.from_rows(rows)
         n_plus = inertia(G).n_plus
-        trace = reduce(G, NEG_SEMIDEFINITE)
-        assert verify_trace(trace).valid
-        kinks = sum(1 for m in trace.moves if isinstance(m, Kink))
-        unkinks = sum(1 for m in trace.moves if isinstance(m, Unkink))
-        total_kinks += kinks
-        total_unkinks += unkinks
-        slack += 4 * n_plus - kinks
+        stats = trace_stats(reduce(G, NEG_SEMIDEFINITE))  # raises unless it verifies
+        total_kinks += stats.neg_kinks
+        total_unkinks += stats.pos_unkinks
+        slack += 4 * n_plus - stats.neg_kinks
 
     print(f"{count} matrices reduced to negative-semidefinite form")
     print(f"total negative kinks: {total_kinks} (unused budget: {slack})")

@@ -74,33 +74,17 @@ def icct_trace(C: IntMatrix) -> Trace:
         moves.append(Kink(-1))
         current = current.block_sum(-1)
 
-    def block_shear(top_right: IntMatrix | None, bottom_left: IntMatrix | None) -> IntMatrix:
-        size = n + m
-        rows = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-        if top_right is not None:
-            for i in range(n):
-                for j in range(m):
-                    rows[i][n + j] = top_right.entries[i][j]
-        if bottom_left is not None:
-            for i in range(m):
-                for j in range(n):
-                    rows[n + i][j] = bottom_left.entries[i][j]
-        return IntMatrix.from_rows(rows, cols=size)
-
-    for P in (block_shear(C, None), block_shear(None, ct)):
-        if any(P.entries[i][j] != (1 if i == j else 0) for i in range(n + m) for j in range(n + m)):
+    size = n + m
+    block = {(i, n + j): C[i, j] for i in range(n) for j in range(m)}
+    transposed = {(j, i): v for (i, j), v in block.items()}
+    for P in (IntMatrix.shear(size, block), IntMatrix.shear(size, transposed)):
+        if P != IntMatrix.identity(size):
             moves.append(Congruence(P))
             current = apply_move(current, moves[-1])
 
     if n > 0 and m > 0:
         # rotate the leading I_n block to the back so it can be unkinked
-        size = n + m
-        rows = [[0] * size for _ in range(size)]
-        for i in range(m):
-            rows[i][n + i] = 1
-        for i in range(n):
-            rows[m + i][i] = 1
-        moves.append(Congruence(IntMatrix.from_rows(rows, cols=size)))
+        moves.append(Congruence(IntMatrix.rotation(size, n)))
         current = apply_move(current, moves[-1])
 
     for _ in range(n):
@@ -250,13 +234,17 @@ def reduce_binary_form(A: SymMatrix) -> tuple[SymMatrix, IntMatrix]:
 
 
 def cct_2x2(A: SymMatrix) -> GramFactor:
-    """Explicit Gram factor of a positive-definite 2x2 integer matrix.
+    """Explicit Gram factor of a positive-definite 2x2 integer matrix."""
+    return reduced_gram_factor(*reduce_binary_form(A))
 
-    On the reduced form [[a, b], [b, c]] take a - |b| columns e_1, c - |b|
-    columns e_2, and |b| columns (1, sgn b); pull back along the reducing
-    congruence.
+
+def reduced_gram_factor(reduced: SymMatrix, E: IntMatrix) -> GramFactor:
+    """Gram factor of E A' E^T from the reduced form A' = [[a, b], [b, c]]
+    and the congruence E that ``reduce_binary_form`` returns with it.
+
+    On A' take a - |b| columns e_1, c - |b| columns e_2, and |b| columns
+    (1, sgn b); pull back along E.
     """
-    reduced, E = reduce_binary_form(A)
     a, b, c = int(reduced[0, 0]), int(reduced[0, 1]), int(reduced[1, 1])
     cols = (
         [(1, 0)] * (a - abs(b))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cct import cct_2x2, cct_search, icct_trace, reduce_binary_form
+from .cct import cct_search, icct_trace, reduce_binary_form, reduced_gram_factor
 from .errors import InvalidTrace, KinkEqError
 from .exact import determinant, inertia
 from .formats import (
@@ -148,7 +148,7 @@ def _run(args: argparse.Namespace) -> int:
             reduced, witness = reduce_binary_form(A)
             sys.stdout.write(serialize_matrix(reduced))
             sys.stdout.write(serialize_int_matrix(witness))
-            factor = cct_2x2(A)
+            factor = reduced_gram_factor(reduced, witness)
             sys.stdout.write(serialize_int_matrix(factor.matrix))
     elif args.command == "goeritz":
         sys.stdout.write(serialize_matrix(goeritz_matrix(parse_diagram(_read(args.file)))))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     InternalError,
@@ -66,8 +66,26 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        return cls.shear(n, {})
+
+    @classmethod
+    def shear(cls, n: int, entries: Mapping[tuple[int, int], int]) -> "IntMatrix":
+        """The n x n identity with the entries {(i, j): v} set.
+
+        Entries on one side of the diagonal give a shear of determinant 1;
+        ``congruence`` checks any other pattern like every P.
+        """
+        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        for (i, j), v in entries.items():
+            rows[i][j] = v
+        return cls.from_rows(rows, cols=n)
+
+    @classmethod
+    def rotation(cls, n: int, k: int) -> "IntMatrix":
+        """The permutation moving the first k of n coordinates to the back:
+        row i is e_((i + k) mod n), so P G P^T puts those k coordinates last."""
         return cls.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n
+            [[1 if j == (i + k) % n else 0 for j in range(n)] for i in range(n)], cols=n
         )
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
@@ -268,19 +286,27 @@ def _pivot(m: list[list], p: int, L: list[list] | None = None) -> bool:
 
 def inertia(G: SymMatrix) -> Inertia:
     """Eigenvalue sign counts, by Sylvester's law applied to fraction-free
-    symmetric elimination on the integer lift.
+    symmetric elimination on the integer lift."""
+    return inertia_and_abs_det(G)[0]
+
+
+def inertia_and_abs_det(G: SymMatrix) -> tuple[Inertia, Fraction]:
+    """Inertia and |det G| from one fraction-free symmetric elimination.
 
     Bareiss updates keep every entry an integer minor of the lift; the
     congruence pivot moves of ``_pivot`` act on the trailing indices only,
     so the divisions stay exact.  The diagonal entry eliminated at each step
-    is piv/prev, whose sign is read off the two integers.
+    is piv/prev, whose sign is read off the two integers.  The last pivot
+    is det(d*G) up to sign, since the pivot moves are unimodular; when
+    ``_pivot`` stops early the matrix is singular.
     """
     n = G.n
-    _, a = _lift(G)
+    d, a = _lift(G)
     n_plus = n_minus = 0
     prev = 1
     for p in range(n):
         if not _pivot(a, p):
+            prev = 0
             break
         piv = a[p][p]
         if (piv > 0) == (prev > 0):
@@ -289,7 +315,7 @@ def inertia(G: SymMatrix) -> Inertia:
             n_minus += 1
         _bareiss_step(a, p, prev)
         prev = piv
-    return Inertia(n_plus, n_minus, n - n_plus - n_minus)
+    return Inertia(n_plus, n_minus, n - n_plus - n_minus), Fraction(abs(prev), d**n)
 
 
 def diagonalizing_congruence(G: SymMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Callable, Iterator
 
 from .errors import (
     BadRational,
@@ -19,7 +20,7 @@ from .errors import (
     UnknownVariable,
 )
 from .exact import IntMatrix, SymMatrix, determinant, inertia
-from .moves import Congruence, Kink, Move, Trace, Unkink
+from .moves import Congruence, Kink, Move, Trace, Unkink, count_moves
 from .reducer import NEG_DEFINITE, POS_DEFINITE, reduce
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -38,33 +39,60 @@ def _format_rational(x: Fraction) -> str:
     return str(x)  # Fraction prints "p" or "p/q", always in lowest terms
 
 
-def parse_matrix(text: str) -> SymMatrix:
-    """Read the "sym N" format: header, then N rows of N rationals."""
-    lines = [
-        (no, line.split("#", 1)[0].strip())
-        for no, line in enumerate(text.splitlines(), start=1)
-    ]
-    lines = [(no, line) for no, line in lines if line]
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (line number, content) for each line that is not blank once
+    its '#' comment and surrounding whitespace are stripped; lines count
+    from 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _read_table(
+    text: str, header: str, entry: Callable[[str, int], object]
+) -> tuple[list[int], list[list]]:
+    """Read the sizes named in ``header`` ("sym N" or "int R C") and the
+    rows under it, converting each token with ``entry(token, lineno)``.
+
+    The first size is the row count and the last the row length.
+    """
+    lines = list(content_lines(text))
     if not lines:
         raise ParseError("empty matrix file")
-    no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "sym":
-        raise ParseError("expected header 'sym N'", line=no)
+    no, first = lines[0]
+    parts = first.split()
+    keyword, *names = header.split()
+    if len(parts) != 1 + len(names) or parts[0] != keyword:
+        raise ParseError(f"expected header {header!r}", line=no)
+    plural = len(names) > 1
     try:
-        n = int(parts[1])
+        sizes = [int(p) for p in parts[1:]]
     except ValueError:
-        raise ParseError(f"bad size {parts[1]!r}", line=no)
-    if n < 0:
-        raise ParseError("size must be nonnegative", line=no)
-    if len(lines) - 1 != n:
-        raise ParseError(f"expected {n} rows, found {len(lines) - 1}")
+        raise ParseError("bad sizes in header" if plural else f"bad size {parts[1]!r}", line=no)
+    if min(sizes) < 0:
+        raise ParseError(f"size{'s' if plural else ''} must be nonnegative", line=no)
+    if len(lines) - 1 != sizes[0]:
+        raise ParseError(f"expected {sizes[0]} rows, found {len(lines) - 1}")
     rows = []
     for no, line in lines[1:]:
         tokens = line.split()
-        if len(tokens) != n:
-            raise ParseError(f"expected {n} entries, found {len(tokens)}", line=no)
-        rows.append([_parse_rational(t, no) for t in tokens])
+        if len(tokens) != sizes[-1]:
+            raise ParseError(f"expected {sizes[-1]} entries, found {len(tokens)}", line=no)
+        rows.append([entry(t, no) for t in tokens])
+    return sizes, rows
+
+
+def _parse_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError("entries must be integers", line=lineno)
+
+
+def parse_matrix(text: str) -> SymMatrix:
+    """Read the "sym N" format: header, then N rows of N rationals."""
+    _, rows = _read_table(text, "sym N", _parse_rational)
     try:
         return SymMatrix.from_rows(rows)
     except SizeMismatch as exc:
@@ -80,35 +108,8 @@ def serialize_matrix(G: SymMatrix) -> str:
 
 def parse_int_matrix(text: str) -> IntMatrix:
     """Read the "int R C" format for rectangular integer matrices."""
-    lines = [
-        (no, line.split("#", 1)[0].strip())
-        for no, line in enumerate(text.splitlines(), start=1)
-    ]
-    lines = [(no, line) for no, line in lines if line]
-    if not lines:
-        raise ParseError("empty matrix file")
-    no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "int":
-        raise ParseError("expected header 'int R C'", line=no)
-    try:
-        r, c = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError("bad sizes in header", line=no)
-    if r < 0 or c < 0:
-        raise ParseError("sizes must be nonnegative", line=no)
-    if len(lines) - 1 != r:
-        raise ParseError(f"expected {r} rows, found {len(lines) - 1}")
-    rows = []
-    for no, line in lines[1:]:
-        tokens = line.split()
-        if len(tokens) != c:
-            raise ParseError(f"expected {c} entries, found {len(tokens)}", line=no)
-        try:
-            rows.append([int(t) for t in tokens])
-        except ValueError:
-            raise ParseError("entries must be integers", line=no)
-    return IntMatrix.from_rows(rows, cols=c)
+    (_, cols), rows = _read_table(text, "int R C", _parse_int)
+    return IntMatrix.from_rows(rows, cols=cols)
 
 
 def serialize_int_matrix(C: IntMatrix) -> str:
@@ -171,11 +172,7 @@ def serialize_trace(trace: Trace) -> str:
 
 
 def parse_trace(text: str) -> Trace:
-    lines = [
-        (no, line.split("#", 1)[0].strip())
-        for no, line in enumerate(text.splitlines(), start=1)
-    ]
-    lines = [(no, line) for no, line in lines if line]
+    lines = list(content_lines(text))
     if len(lines) < 3:
         raise ParseError("trace file needs at least 'trace', a start matrix, and 'end'")
     no, first = lines[0]
@@ -285,8 +282,8 @@ def blowup_report(G: SymMatrix) -> str:
     n_plus, n_minus = sig.n_plus, sig.n_minus
     trace_neg = reduce(G, NEG_DEFINITE)
     trace_pos = reduce(G, POS_DEFINITE)
-    neg_kinks = sum(1 for m in trace_neg.moves if isinstance(m, Kink))
-    pos_kinks = sum(1 for m in trace_pos.moves if isinstance(m, Kink))
+    neg_kinks = count_moves(trace_neg.moves).neg_kinks
+    pos_kinks = count_moves(trace_pos.moves).pos_kinks
     lines = [
         "blow-up arithmetic report",
         f"size n = {G.n}, inertia (n+, n-, n0) = ({n_plus}, {n_minus}, {sig.n_zero}), "

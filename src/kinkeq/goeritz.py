@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, RegionOutOfRange, SelfPairedCrossing
 from .exact import SymMatrix
+from .formats import content_lines
 
 
 @dataclass(frozen=True)
@@ -29,10 +30,7 @@ def parse_diagram(text: str) -> Diagram:
     """
     region_count = None
     crossings = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if region_count is None:
             if len(parts) != 2 or parts[0] != "regions":

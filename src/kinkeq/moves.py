@@ -13,9 +13,10 @@ preserves: nullity and |determinant|.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import InvalidTrace, KinkEqError, UnkinkShapeViolation
 from .exact import (
@@ -23,8 +24,7 @@ from .exact import (
     IntMatrix,
     SymMatrix,
     congruence,
-    determinant,
-    inertia,
+    inertia_and_abs_det,
 )
 
 
@@ -113,10 +113,11 @@ def verify_trace(trace: Trace) -> VerificationReport:
 
     Never raises on a well-formed Trace value; failures are reported with
     the first bad step index.  Each audit entry records inertia and |det|
-    after the step; both nullity and |det| are constant along valid traces.
+    after the step, both from one fresh elimination of the replayed matrix;
+    nullity and |det| are constant along valid traces.
     """
     current = trace.start
-    steps = [StepAudit(-1, "start", current.n, inertia(current), abs(determinant(current)))]
+    steps = [StepAudit(-1, "start", current.n, *inertia_and_abs_det(current))]
     for i, move in enumerate(trace.moves):
         try:
             current = apply_move(current, move)
@@ -124,7 +125,7 @@ def verify_trace(trace: Trace) -> VerificationReport:
             return VerificationReport(
                 False, tuple(steps), failed_step=i, reason=f"{type(exc).__name__}: {exc}"
             )
-        steps.append(StepAudit(i, _kind(move), current.n, inertia(current), abs(determinant(current))))
+        steps.append(StepAudit(i, _kind(move), current.n, *inertia_and_abs_det(current)))
     if current != trace.end:
         return VerificationReport(
             False,
@@ -144,23 +145,21 @@ class MoveStats:
     congruences: int
 
 
+def count_moves(moves: Iterable[Move]) -> MoveStats:
+    """Move counts by kind and sign; the moves are only counted, not checked."""
+    tally = Counter((type(move), getattr(move, "sign", None)) for move in moves)
+    return MoveStats(
+        pos_kinks=tally[Kink, 1],
+        neg_kinks=tally[Kink, -1],
+        pos_unkinks=tally[Unkink, 1],
+        neg_unkinks=tally[Unkink, -1],
+        congruences=tally[Congruence, None],
+    )
+
+
 def trace_stats(trace: Trace) -> MoveStats:
     """Exact move counts by kind; the trace must verify."""
     report = verify_trace(trace)
     if not report.valid:
         raise InvalidTrace(f"step {report.failed_step}: {report.reason}")
-    pos_k = neg_k = pos_u = neg_u = congr = 0
-    for move in trace.moves:
-        if isinstance(move, Congruence):
-            congr += 1
-        elif isinstance(move, Kink):
-            if move.sign > 0:
-                pos_k += 1
-            else:
-                neg_k += 1
-        else:
-            if move.sign > 0:
-                pos_u += 1
-            else:
-                neg_u += 1
-    return MoveStats(pos_k, neg_k, pos_u, neg_u, congr)
+    return count_moves(trace.moves)

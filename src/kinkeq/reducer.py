@@ -40,7 +40,7 @@ from .exact import (
     primitive_scale,
     require_integral,
 )
-from .moves import Congruence, Kink, Move, Trace, Unkink, apply_move
+from .moves import Congruence, Kink, Move, Trace, Unkink, apply_move, count_moves
 
 NEG_DEFINITE = "neg_definite"
 POS_DEFINITE = "pos_definite"
@@ -160,15 +160,8 @@ def integralize_first_row(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     d = lcm(*[G[0, j].denominator for j in range(n)])
     if d == 1:
         return G, []
-    moves: list[Move] = [Kink(-1)]
-    p_rows = [[0] * (n + 1) for _ in range(n + 1)]
-    p_rows[0][0] = d
-    p_rows[0][n] = 1
-    for i in range(1, n):
-        p_rows[i][i] = 1
-    p_rows[n][0] = d - 1
-    p_rows[n][n] = 1
-    moves.append(Congruence(IntMatrix.from_rows(p_rows)))
+    P = IntMatrix.shear(n + 1, {(0, 0): d, (0, n): 1, (n, 0): d - 1})
+    moves: list[Move] = [Kink(-1), Congruence(P)]
     out = G
     for move in moves:
         out = apply_move(out, move)
@@ -197,10 +190,7 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
         G = G.block_sum(-1)
     if squares:
         m = n + len(squares)
-        p_rows = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        for t, s in enumerate(squares):
-            p_rows[0][n + t] = s
-        P = IntMatrix.from_rows(p_rows)
+        P = IntMatrix.shear(m, {(0, n + t): s for t, s in enumerate(squares)})
         moves.append(Congruence(P))
         G = apply_congruence(G, P)
         n = m
@@ -209,18 +199,11 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
 
     w = [int(G[0, j]) for j in range(1, n)]
     if any(w):
-        p_rows = [[1] + [0] * (n - 1)]
-        for i in range(1, n):
-            row = [-w[i - 1]] + [1 if j == i else 0 for j in range(1, n)]
-            p_rows.append(row)
-        P = IntMatrix.from_rows(p_rows)
+        P = IntMatrix.shear(n, {(i, 0): -x for i, x in enumerate(w, start=1)})
         moves.append(Congruence(P))
         G = apply_congruence(G, P)
     if n > 1:
-        # cyclic permutation sending coordinate 0 to the back
-        p_rows = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n - 1)]
-        p_rows.append([1] + [0] * (n - 1))
-        P = IntMatrix.from_rows(p_rows)
+        P = IntMatrix.rotation(n, 1)
         moves.append(Congruence(P))
         G = apply_congruence(G, P)
     moves.append(Unkink(1))
@@ -269,11 +252,10 @@ def reduce(G: SymMatrix, target: str) -> Trace:
     trace = Trace(G, tuple(moves), current)
 
     kink_budget = (4 if G.is_integral() else 5) * start_inertia.n_plus
-    neg_kinks = sum(1 for m in moves if isinstance(m, Kink) and m.sign == -1)
-    pos_unkinks = sum(1 for m in moves if isinstance(m, Unkink) and m.sign == 1)
-    if neg_kinks > kink_budget or pos_unkinks != start_inertia.n_plus:
+    stats = count_moves(moves)
+    if stats.neg_kinks > kink_budget or stats.pos_unkinks != start_inertia.n_plus:
         raise InternalError(
-            f"move bound violated: {neg_kinks} kinks (budget {kink_budget}), "
-            f"{pos_unkinks} unkinks (expected {start_inertia.n_plus})"
+            f"move bound violated: {stats.neg_kinks} kinks (budget {kink_budget}), "
+            f"{stats.pos_unkinks} unkinks (expected {start_inertia.n_plus})"
         )
     return trace

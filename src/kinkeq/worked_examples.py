@@ -30,27 +30,6 @@ def _congr(rows) -> Congruence:
     return Congruence(IntMatrix.from_rows(rows))
 
 
-def _identity_with(n: int, updates: dict[tuple[int, int], int]) -> list[list[int]]:
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for (i, j), v in updates.items():
-        rows[i][j] = v
-    return rows
-
-
-def _cycle_front_to_back(n: int) -> list[list[int]]:
-    rows = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n - 1)]
-    rows.append([1] + [0] * (n - 1))
-    return rows
-
-
-def _clear_first(n: int, w: list[int]) -> list[list[int]]:
-    """[[1, 0], [-w, I]]: use a unit corner to clear the first row/column."""
-    rows = [[1] + [0] * (n - 1)]
-    for i in range(1, n):
-        rows.append([-w[i - 1]] + [1 if j == i else 0 for j in range(1, n)])
-    return rows
-
-
 def _finish(start: SymMatrix, moves: list[Move]) -> Trace:
     current = start
     for move in moves:
@@ -77,11 +56,11 @@ def obstructed_matrix_reduction_trace() -> Trace:
 
     # stage 1: negative kink, then fold it into the corner
     moves.append(Kink(-1))
-    moves.append(_congr(_identity_with(7, {(0, 6): 1})))
+    moves.append(Congruence(IntMatrix.shear(7, {(0, 6): 1})))
     # stage 2: clear the first row/column with the corner 1, rotate, unkink
     v2 = [1, 1, 1, 0, 0, -1]
-    moves.append(_congr(_clear_first(7, v2)))
-    moves.append(_congr(_cycle_front_to_back(7)))
+    moves.append(Congruence(IntMatrix.shear(7, {(i, 0): -x for i, x in enumerate(v2, 1)})))
+    moves.append(Congruence(IntMatrix.rotation(7, 1)))
     moves.append(Unkink(1))
     # stage 3: block-clear a 3x3 identity corner, swap blocks, triple unkink
     c6 = [[1, 1, 1], [0, 1, 1], [1, 1, 1]]
@@ -111,8 +90,8 @@ def obstructed_matrix_reduction_trace() -> Trace:
     moves.append(_congr([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
     # stage 5: clear, rotate, unkink
     v7 = [0, 1]
-    moves.append(_congr(_clear_first(3, v7)))
-    moves.append(_congr(_cycle_front_to_back(3)))
+    moves.append(Congruence(IntMatrix.shear(3, {(i, 0): -x for i, x in enumerate(v7, 1)})))
+    moves.append(Congruence(IntMatrix.rotation(3, 1)))
     moves.append(Unkink(1))
     # stage 6: swap to put 3 in the corner, add a negative kink
     moves.append(_congr([[0, 1], [1, 0]]))
@@ -121,8 +100,8 @@ def obstructed_matrix_reduction_trace() -> Trace:
     moves.append(_congr([[1, 1, 1], [0, 1, 0], [0, 0, 1]]))
     # stage 8: clear, rotate, final unkink
     v11 = [-1, -1]
-    moves.append(_congr(_clear_first(3, v11)))
-    moves.append(_congr(_cycle_front_to_back(3)))
+    moves.append(Congruence(IntMatrix.shear(3, {(i, 0): -x for i, x in enumerate(v11, 1)})))
+    moves.append(Congruence(IntMatrix.rotation(3, 1)))
     moves.append(Unkink(1))
 
     return _finish(OBSTRUCTED_GRAM_MATRIX, moves)

@@ -1,0 +1,57 @@
+"""Frozen certificates: serialized traces stay byte-for-byte the same.
+
+The digest covers ``reduce`` on seeded integer matrices (n <= 5, all four
+targets) and rational matrices (n <= 3, both semidefinite targets), the
+I + CC^T chain on a few C, and both hand-encoded chains.  A change to any
+move the reducer or the chain builders emit changes the digest.
+"""
+
+import hashlib
+import random
+
+from kinkeq import (
+    NEG_DEFINITE,
+    NEG_SEMIDEFINITE,
+    POS_DEFINITE,
+    POS_SEMIDEFINITE,
+    IntMatrix,
+    determinant,
+    icct_trace,
+    reduce,
+)
+from kinkeq.formats import serialize_trace
+from kinkeq.worked_examples import (
+    five_to_minus_five_trace,
+    obstructed_matrix_reduction_trace,
+)
+
+from oracles import random_int_matrix, random_sym, random_sym_rational
+
+DIGEST = "c86216125521ada1743cef1008052540169d0da139bdbfc425f3edeecd44ff34"
+
+
+def _certificates():
+    rng = random.Random(3)
+    for _ in range(20):
+        G = random_sym(rng, rng.randint(1, 5), 4)
+        for target in (NEG_DEFINITE, POS_DEFINITE, NEG_SEMIDEFINITE, POS_SEMIDEFINITE):
+            if target in (NEG_DEFINITE, POS_DEFINITE) and determinant(G) == 0:
+                continue
+            yield reduce(G, target)
+    for _ in range(10):
+        G = random_sym_rational(rng, rng.randint(1, 3), 4, 6)
+        for target in (NEG_SEMIDEFINITE, POS_SEMIDEFINITE):
+            yield reduce(G, target)
+    for n, m in ((1, 1), (2, 3), (3, 2), (3, 3)):
+        yield icct_trace(random_int_matrix(rng, n, m))
+    yield icct_trace(IntMatrix.from_rows([[0, 0]]))  # both block shears are I
+    yield icct_trace(IntMatrix.from_rows([[], []], cols=0))
+    yield five_to_minus_five_trace()
+    yield obstructed_matrix_reduction_trace()
+
+
+def test_certificate_digest():
+    digest = hashlib.sha256()
+    for trace in _certificates():
+        digest.update(serialize_trace(trace).encode("utf-8"))
+    assert digest.hexdigest() == DIGEST

@@ -114,6 +114,29 @@ def test_cct_reduce2(matrix_file, capsys):
     assert out.startswith("sym 2\n5 2\n2 5\n")
 
 
+def test_cct_reduce2_reduces_once(matrix_file, capsys, monkeypatch):
+    import kinkeq.cct
+    import kinkeq.cli
+
+    original = kinkeq.cct.reduce_binary_form
+    calls = []
+
+    def counting(A):
+        calls.append(A)
+        return original(A)
+
+    monkeypatch.setattr(kinkeq.cli, "reduce_binary_form", counting)
+    monkeypatch.setattr(kinkeq.cct, "reduce_binary_form", counting)
+    path = matrix_file("g.sym", "sym 2\n5 3\n3 6\n")
+    assert main(["cct", "reduce2", path]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (
+        "sym 2\n5 2\n2 5\n"
+        "int 2 2\n1 0\n1 -1\n"
+        "int 2 8\n1 1 1 1 1 0 0 0\n1 1 1 0 0 1 1 1\n"
+    )
+
+
 def test_goeritz(matrix_file, capsys):
     path = matrix_file(
         "d.txt", "regions 4\n0 1 +\n1 2 +\n0 2 +\n0 2 +\n2 3 +\n0 3 +\n0 3 +\n"

@@ -18,7 +18,7 @@ from kinkeq import (
     primitive_scale,
 )
 from kinkeq.errors import NotPrimitive, NotUnimodular, SizeMismatch, ZeroVector
-from kinkeq.exact import diagonalizing_congruence, evaluate_form
+from kinkeq.exact import Inertia, diagonalizing_congruence, evaluate_form, inertia_and_abs_det
 from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX
 
 from oracles import (
@@ -97,6 +97,22 @@ class TestInertia:
         assert (sig.n_plus, sig.n_minus, sig.n_zero) == inertia_oracle(G)
 
 
+class TestInertiaAndAbsDet:
+    """The verifier's audit: both values from one elimination."""
+
+    def test_examples(self):
+        assert inertia_and_abs_det(SymMatrix.diagonal([5, -1])) == (Inertia(1, 1, 0), 5)
+        assert inertia_and_abs_det(SymMatrix.from_rows([[0, 1], [1, 0]])) == (Inertia(1, 1, 0), 1)
+        assert inertia_and_abs_det(SymMatrix.from_rows([[1, 1], [1, 1]])) == (Inertia(1, 0, 1), 0)
+        assert inertia_and_abs_det(SymMatrix.empty()) == (Inertia(0, 0, 0), 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sym_matrices())
+    def test_agrees_with_inertia_and_determinant(self, G):
+        assert inertia_and_abs_det(G) == (inertia(G), abs(determinant(G)))
+        assert inertia_and_abs_det(G)[1] == abs(cofactor_det([list(r) for r in G.entries]))
+
+
 class TestDeterminant:
     def test_diagonal(self):
         assert determinant(SymMatrix.diagonal([5, -1])) == -5
@@ -160,6 +176,26 @@ class TestCongruence:
         H = congruence(G, P)
         assert inertia(H) == inertia(G)
         assert abs(determinant(H)) == abs(determinant(G))
+
+
+class TestBuilders:
+    def test_shear(self):
+        assert IntMatrix.shear(3, {(0, 2): 4, (1, 0): -1}) == IntMatrix.from_rows(
+            [[1, 0, 4], [-1, 1, 0], [0, 0, 1]]
+        )
+        assert IntMatrix.shear(2, {}) == IntMatrix.identity(2)
+        assert IntMatrix.shear(0, {}) == IntMatrix.from_rows([], cols=0)
+
+    def test_rotation(self):
+        assert IntMatrix.rotation(3, 1) == IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        assert IntMatrix.rotation(4, 0) == IntMatrix.identity(4)
+        assert IntMatrix.rotation(0, 0) == IntMatrix.identity(0)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (3, 1), (5, 2), (6, 3)])
+    def test_rotation_moves_leading_coordinates_last(self, n, k):
+        G = SymMatrix.diagonal(list(range(1, n + 1)))
+        values = list(range(1, n + 1))
+        assert congruence(G, IntMatrix.rotation(n, k)) == SymMatrix.diagonal(values[k:] + values[:k])
 
 
 class TestUnimodularity:

@@ -10,10 +10,12 @@ from kinkeq import (
     Congruence,
     IntMatrix,
     Kink,
+    MoveStats,
     SymMatrix,
     Trace,
     Unkink,
     apply_move,
+    count_moves,
     determinant,
     inertia,
     trace_stats,
@@ -141,3 +143,21 @@ class TestTraceStats:
         G = SymMatrix.from_rows([[7]])
         with pytest.raises(InvalidTrace):
             trace_stats(Trace(G, (), SymMatrix.from_rows([[8]])))
+
+
+class TestCountMoves:
+    def test_counts_by_kind_and_sign(self):
+        P = Congruence(IntMatrix.identity(1))
+        moves = [Kink(1), Kink(-1), Kink(-1), Unkink(1), Unkink(-1), Unkink(-1), Unkink(-1), P]
+        assert count_moves(moves) == MoveStats(
+            pos_kinks=1, neg_kinks=2, pos_unkinks=1, neg_unkinks=3, congruences=1
+        )
+
+    def test_does_not_verify(self):
+        # A lone unkink replays on no matrix here; count_moves only counts.
+        assert count_moves([Unkink(1)]).pos_unkinks == 1
+        assert count_moves([]) == MoveStats(0, 0, 0, 0, 0)
+
+    def test_matches_trace_stats(self):
+        trace = five_to_minus_five_trace()
+        assert count_moves(trace.moves) == trace_stats(trace)

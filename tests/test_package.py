@@ -5,7 +5,9 @@ from pathlib import Path
 
 import kinkeq
 
-SOURCES = sorted(Path(kinkeq.__file__).parent.glob("*.py"))
+SOURCES = sorted(Path(kinkeq.__file__).parent.glob("*.py")) + sorted(
+    (Path(__file__).resolve().parents[1] / "scripts").glob("*.py")
+)
 
 
 def test_no_assert_statements():
