@@ -121,15 +121,16 @@ def cct_search(G: SymMatrix, rng: random.Random | None = None) -> GramFactor | N
     if sig.n_minus > 0:
         raise NotPositiveSemidefinite("matrix has a negative eigenvalue")
     n = G.n
-    m = sum(int(G[i, i]) for i in range(n))
+    g = G.rows
+    m = sum(g[i][i] for i in range(n))
     rows: list[tuple[int, ...]] = []
 
     def row_candidates(i: int):
         """Yield canonical rows x with |x| bounded, sum x^2 = G_ii and
         x . rows[r] = G_ir for all r < i."""
-        target_norm = int(G[i, i])
+        target_norm = g[i][i]
         bound = isqrt(target_norm)
-        targets = [int(G[i, r]) for r in range(i)]
+        targets = list(g[i][:i])
         # suffix squared norms of earlier rows, for a Cauchy-Schwarz prune
         suffix = [
             [0] * (m + 1)
@@ -139,10 +140,17 @@ def cct_search(G: SymMatrix, rng: random.Random | None = None) -> GramFactor | N
             for j in range(m - 1, -1, -1):
                 suffix[r][j] = suffix[r][j + 1] + rows[r][j] ** 2
         x = [0] * m
+        dots = [0] * i  # x . rows[r] over the columns set so far
+        earlier = rows[:i]
+        # canonical form, per column: where every earlier row is zero the
+        # entry is nonnegative (sign normalization), and where the earlier
+        # rows agree with the column before it is at most that entry
+        unsigned = [all(row[j] == 0 for row in earlier) for j in range(m)]
+        tied = [j > 0 and all(row[j] == row[j - 1] for row in earlier) for j in range(m)]
 
-        def rec(j: int, norm_left: int, dots: list[int]):
+        def rec(j: int, norm_left: int):
             if j == m:
-                if norm_left == 0 and all(d == t for d, t in zip(dots, targets)):
+                if norm_left == 0 and dots == targets:
                     yield tuple(x)
                 return
             if norm_left > (m - j) * bound * bound:
@@ -151,24 +159,23 @@ def cct_search(G: SymMatrix, rng: random.Random | None = None) -> GramFactor | N
                 gap = targets[r] - dots[r]
                 if gap * gap > norm_left * suffix[r][j]:
                     return
-            lo, hi = -bound, bound
-            if all(rows[r][j] == 0 for r in range(i)):
-                lo = 0  # sign normalization: first nonzero entry positive
-            if j > 0 and all(rows[r][j] == rows[r][j - 1] for r in range(i)):
-                hi = min(hi, x[j - 1])  # equal prefixes: non-increasing
-            values = [v for v in range(hi, lo - 1, -1) if v * v <= norm_left]
+            reach = isqrt(norm_left)  # v * v <= norm_left
+            lo = 0 if unsigned[j] else -reach
+            hi = min(reach, x[j - 1]) if tied[j] else reach
+            values = range(hi, lo - 1, -1)
             if rng is not None:
+                values = list(values)
                 rng.shuffle(values)
             for v in values:
                 x[j] = v
-                yield from rec(
-                    j + 1,
-                    norm_left - v * v,
-                    [d + v * rows[r][j] for r, d in enumerate(dots)],
-                )
+                for r in range(i):
+                    dots[r] += v * earlier[r][j]
+                yield from rec(j + 1, norm_left - v * v)
+                for r in range(i):
+                    dots[r] -= v * earlier[r][j]
             x[j] = 0
 
-        yield from rec(0, target_norm, [0] * i)
+        yield from rec(0, target_norm)
 
     def fill(i: int) -> GramFactor | None:
         if i == n:

@@ -1,22 +1,22 @@
 """Exact matrices over the rationals and the congruence toolkit.
 
 Everything here is pure and immutable: matrices are tuples of tuples of
-``fractions.Fraction`` (symmetric case) or ``int`` (rectangular case), so
-values can be shared freely across threads.  The 0x0 matrix is a legitimate
+``int``, so values can be shared freely across threads.  A symmetric
+rational matrix G is stored as its integer lift: the least d > 0 with d*G
+integral and the integer rows of d*G.  The 0x0 matrix is a legitimate
 value throughout, with determinant 1 and inertia (0, 0, 0).
 
-The kernels compute on an integer lift: the common denominator d of a
-matrix and the integer rows of d*G.  ``determinant`` and ``inertia`` use
-fraction-free (Bareiss) elimination on it, and ``congruence`` multiplies
-by the nonzero entries of P in integers, forming one ``Fraction`` per
-output entry.  Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 22 (1968).
+``determinant`` and ``inertia`` use fraction-free (Bareiss) elimination on
+the lift, and ``congruence`` multiplies it by the nonzero entries of P.
+Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22 (1968).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -117,21 +117,28 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """Symmetric matrix over exact rationals, size n >= 0."""
+    """Symmetric matrix over exact rationals, size n >= 0: ``den`` is the
+    least d > 0 with d*G integral and ``rows`` the integer rows of d*G, so
+    gcd(den, all entries) = 1 and equality is equality of the entries."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    den: int
+    rows: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "SymMatrix":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = [
+            [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows
+        ]
         n = len(data)
         if any(len(row) != n for row in data):
             raise SizeMismatch("matrix is not square")
+        den = lcm(*{x.denominator for row in data for x in row})
+        lift = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
         for i in range(n):
             for j in range(i):
-                if data[i][j] != data[j][i]:
+                if lift[i][j] != lift[j][i]:
                     raise SizeMismatch(f"entries ({i},{j}) and ({j},{i}) differ")
-        return cls(data)
+        return cls(den, lift)
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "SymMatrix":
@@ -142,29 +149,34 @@ class SymMatrix:
 
     @classmethod
     def empty(cls) -> "SymMatrix":
-        return cls(())
+        return cls(1, ())
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rational entries, built on first use."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.rows)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.entries[i][j]
+        return Fraction(self.rows[i][j], self.den)
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
+        return self.den == 1
 
     def block_sum(self, value) -> "SymMatrix":
         """Direct sum with the 1x1 block [value]."""
         v = Fraction(value)
-        zero = Fraction(0)
-        rows = [row + (zero,) for row in self.entries]
-        rows.append(tuple(zero for _ in range(self.n)) + (v,))
-        return SymMatrix(tuple(rows))
+        den = lcm(self.den, v.denominator)
+        rows = [tuple(x * (den // self.den) for x in row) + (0,) for row in self.rows]
+        rows.append((0,) * self.n + (v.numerator * (den // v.denominator),))
+        return SymMatrix(den, tuple(rows))
 
     def neg(self) -> "SymMatrix":
-        return SymMatrix(tuple(tuple(-x for x in row) for row in self.entries))
+        return SymMatrix(self.den, tuple(tuple(-x for x in row) for row in self.rows))
 
 
 @dataclass(frozen=True)
@@ -227,16 +239,9 @@ def _bareiss_step(a: list[list[int]], p: int, prev: int) -> None:
                 ai[j] = ai[j] * piv // prev
 
 
-def _lift(G: SymMatrix) -> tuple[int, list[list[int]]]:
-    """Common denominator d > 0 of G and the integer rows of d*G."""
-    d = lcm(*{x.denominator for row in G.entries for x in row})
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in G.entries]
-
-
 def determinant(G: SymMatrix) -> Fraction:
-    """Exact determinant via Bareiss on a common-denominator integer lift."""
-    d, lift = _lift(G)
-    return Fraction(det_int(G.n, lift), d**G.n)
+    """Exact determinant via Bareiss on the integer lift."""
+    return Fraction(det_int(G.n, G.rows), G.den**G.n)
 
 
 def is_unimodular(P: IntMatrix) -> bool:
@@ -301,7 +306,7 @@ def inertia_and_abs_det(G: SymMatrix) -> tuple[Inertia, Fraction]:
     ``_pivot`` stops early the matrix is singular.
     """
     n = G.n
-    d, a = _lift(G)
+    a = [list(row) for row in G.rows]
     n_plus = n_minus = 0
     prev = 1
     for p in range(n):
@@ -315,7 +320,7 @@ def inertia_and_abs_det(G: SymMatrix) -> tuple[Inertia, Fraction]:
             n_minus += 1
         _bareiss_step(a, p, prev)
         prev = piv
-    return Inertia(n_plus, n_minus, n - n_plus - n_minus), Fraction(abs(prev), d**n)
+    return Inertia(n_plus, n_minus, n - n_plus - n_minus), Fraction(abs(prev), G.den**n)
 
 
 def diagonalizing_congruence(G: SymMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -346,15 +351,15 @@ def diagonalizing_congruence(G: SymMatrix) -> tuple[list[Fraction], list[list[Fr
 def congruence(G: SymMatrix, P: IntMatrix) -> SymMatrix:
     """Return P G P^T for unimodular P of the same size as G.
 
-    Works on the integer lift d*G and on the nonzero entries of each row of
-    P, which for the reducer's shears and permutations are few.
+    Works on the integer lift and on the nonzero entries of each row of P,
+    which for the reducer's shears and permutations are few.
     """
     if P.rows != P.cols or P.rows != G.n:
         raise SizeMismatch(f"P is {P.rows}x{P.cols}, G is {G.n}x{G.n}")
     if not is_unimodular(P):
         raise NotUnimodular(f"det(P) = {det_int(P.rows, P.entries)}")
     n = G.n
-    d, g = _lift(G)
+    g = G.rows
     sparse = [[(k, p) for k, p in enumerate(row) if p] for row in P.entries]
     pg = []  # rows of P (dG)
     for terms in sparse:
@@ -362,12 +367,13 @@ def congruence(G: SymMatrix, P: IntMatrix) -> SymMatrix:
         for k, p in terms:
             acc = [x + p * y for x, y in zip(acc, g[k])]
         pg.append(acc)
-    rows = [[None] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
         r = pg[i]
         for j in range(i, n):
-            rows[i][j] = rows[j][i] = Fraction(sum(r[k] * p for k, p in sparse[j]), d)
-    return SymMatrix(tuple(tuple(row) for row in rows))
+            rows[i][j] = rows[j][i] = sum(r[k] * p for k, p in sparse[j])
+    # P and its inverse are integral, so the entries keep their gcd and den stays least
+    return SymMatrix(G.den, tuple(map(tuple, rows)))
 
 
 def extend_primitive(b: Sequence[int]) -> IntMatrix:
@@ -434,10 +440,8 @@ def evaluate_form(G: SymMatrix, v: Sequence) -> Fraction:
     if len(v) != G.n:
         raise SizeMismatch("vector length does not match matrix size")
     vv = [Fraction(x) for x in v]
-    return sum(
-        (vv[i] * G.entries[i][j] * vv[j] for i in range(G.n) for j in range(G.n)),
-        Fraction(0),
-    )
+    value = sum(vv[i] * G.rows[i][j] * vv[j] for i in range(G.n) for j in range(G.n))
+    return Fraction(value, G.den)
 
 
 def require_integral(G: SymMatrix) -> None:

@@ -19,24 +19,23 @@ from .errors import (
     SizeMismatch,
     UnknownVariable,
 )
-from .exact import IntMatrix, SymMatrix, determinant, inertia
+from .exact import IntMatrix, SymMatrix, inertia_and_abs_det
 from .moves import Congruence, Kink, Move, Trace, Unkink, count_moves
 from .reducer import NEG_DEFINITE, POS_DEFINITE, reduce
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def _parse_rational(token: str, lineno: int | None = None) -> Fraction:
+def _parse_rational(token: str, lineno: int | None = None) -> int | Fraction:
+    """An int for "p", a Fraction for "p/q"."""
     if not _RATIONAL_RE.match(token):
         raise BadRational(f"bad rational {token!r}", line=lineno)
+    if "/" not in token:
+        return int(token)
     try:
         return Fraction(token)
     except ZeroDivisionError:
         raise BadRational(f"zero denominator in {token!r}", line=lineno) from None
-
-
-def _format_rational(x: Fraction) -> str:
-    return str(x)  # Fraction prints "p" or "p/q", always in lowest terms
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -99,11 +98,19 @@ def parse_matrix(text: str) -> SymMatrix:
         raise NotSymmetric(str(exc))
 
 
+def _write_table(header: str, rows) -> str:
+    """The header line, then one line per row; str prints an int as "p"
+    and a Fraction as "p" or "p/q" in lowest terms."""
+    return "\n".join([header, *(" ".join(map(str, row)) for row in rows)]) + "\n"
+
+
+def _printable_rows(G: SymMatrix):
+    """G's entries for the writers: its integer rows when den is 1."""
+    return G.rows if G.den == 1 else G.entries
+
+
 def serialize_matrix(G: SymMatrix) -> str:
-    lines = [f"sym {G.n}"]
-    for row in G.entries:
-        lines.append(" ".join(_format_rational(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return _write_table(f"sym {G.n}", _printable_rows(G))
 
 
 def parse_int_matrix(text: str) -> IntMatrix:
@@ -113,22 +120,12 @@ def parse_int_matrix(text: str) -> IntMatrix:
 
 
 def serialize_int_matrix(C: IntMatrix) -> str:
-    lines = [f"int {C.rows} {C.cols}"]
-    for row in C.entries:
-        lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return _write_table(f"int {C.rows} {C.cols}", C.entries)
 
 
-def _matrix_inline(G: SymMatrix) -> str:
-    if G.n == 0:
-        return "empty"
-    return ";".join(" ".join(_format_rational(x) for x in row) for row in G.entries)
-
-
-def _int_matrix_inline(P: IntMatrix) -> str:
-    if P.rows == 0:
-        return "empty"
-    return ";".join(" ".join(str(x) for x in row) for row in P.entries)
+def _write_inline(rows) -> str:
+    """Rows joined by ";" on one line, or "empty" when there are none."""
+    return ";".join(" ".join(map(str, row)) for row in rows) if rows else "empty"
 
 
 def _parse_inline_sym(token: str, lineno: int) -> SymMatrix:
@@ -159,15 +156,15 @@ def _parse_inline_int(token: str, lineno: int) -> IntMatrix:
 
 def serialize_trace(trace: Trace) -> str:
     """One move per line: "congr rows", "kink s", "unkink s"."""
-    lines = ["trace", _matrix_inline(trace.start)]
+    lines = ["trace", _write_inline(_printable_rows(trace.start))]
     for move in trace.moves:
         if isinstance(move, Congruence):
-            lines.append(f"congr {_int_matrix_inline(move.matrix)}")
+            lines.append(f"congr {_write_inline(move.matrix.entries)}")
         elif isinstance(move, Kink):
             lines.append(f"kink {move.sign:+d}")
         else:
             lines.append(f"unkink {move.sign:+d}")
-    lines.append(f"end {_matrix_inline(trace.end)}")
+    lines.append(f"end {_write_inline(_printable_rows(trace.end))}")
     return "\n".join(lines) + "\n"
 
 
@@ -221,20 +218,12 @@ def parse_quadratic_form(text: str) -> SymMatrix:
     terms = _TERM_RE.findall(s)
     if "".join(terms) != s:
         raise ParseError("malformed expression")
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], int | Fraction] = {}
     n = 0
     for term in terms:
-        sign = Fraction(1)
-        body = term
-        if body[0] in "+-":
-            if body[0] == "-":
-                sign = Fraction(-1)
-            body = body[1:]
-        if not body:
-            raise ParseError("dangling sign")
-        coeff = sign
+        coeff: int | Fraction = -1 if term[0] == "-" else 1
         powers: dict[int, int] = {}
-        for factor in body.split("*"):
+        for factor in term.lstrip("+-").split("*"):
             if _NUM_RE.match(factor):
                 coeff *= _parse_rational(factor)
                 continue
@@ -252,20 +241,14 @@ def parse_quadratic_form(text: str) -> SymMatrix:
         if degree != 2:
             raise DegreeError(f"monomial {term!r} has degree {degree}, expected 2")
         vars_ = sorted(powers)
-        if len(vars_) == 1:
-            i = vars_[0] - 1
-            key = (i, i)
-        else:
-            i, j = vars_[0] - 1, vars_[1] - 1
-            key = (i, j)
-            coeff = coeff / 2
-        entries[key] = entries.get(key, Fraction(0)) + coeff
-        n = max(n, max(vars_))
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), c in entries.items():
-        rows[i][j] += c
+        i, j = vars_[0] - 1, vars_[-1] - 1
         if i != j:
-            rows[j][i] += c
+            coeff = Fraction(coeff, 2)
+        entries[i, j] = entries.get((i, j), 0) + coeff
+        n = max(n, vars_[-1])
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), c in entries.items():
+        rows[i][j] = rows[j][i] = c
     return SymMatrix.from_rows(rows)
 
 
@@ -276,9 +259,9 @@ def blowup_report(G: SymMatrix) -> str:
     a definite form plus identity blocks, and attaches the verifying traces
     produced by ``reduce`` for both targets.
     """
-    if not G.is_integral() or determinant(G) not in (1, -1):
+    sig, abs_det = inertia_and_abs_det(G) if G.is_integral() else (None, None)
+    if abs_det != 1:
         raise NotUnimodularForm("report requires an integer matrix with determinant +1 or -1")
-    sig = inertia(G)
     n_plus, n_minus = sig.n_plus, sig.n_minus
     trace_neg = reduce(G, NEG_DEFINITE)
     trace_pos = reduce(G, POS_DEFINITE)

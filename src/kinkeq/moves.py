@@ -90,13 +90,15 @@ def apply_move(G: SymMatrix, move: Move) -> SymMatrix:
         n = G.n
         if n == 0:
             raise UnkinkShapeViolation("cannot unkink the empty matrix")
-        if G[n - 1, n - 1] != move.sign:
+        last = G.rows[-1]
+        if last[-1] != move.sign * G.den:
             raise UnkinkShapeViolation(
                 f"trailing diagonal entry is {G[n - 1, n - 1]}, expected {move.sign}"
             )
-        if any(G[n - 1, j] != 0 for j in range(n - 1)):
+        if any(last[:-1]):
             raise UnkinkShapeViolation("trailing row/column is not zero off the diagonal")
-        return SymMatrix(tuple(row[: n - 1] for row in G.entries[: n - 1]))
+        # the dropped row is (0, ..., 0, +-den), so den stays least
+        return SymMatrix(G.den, tuple(row[:-1] for row in G.rows[:-1]))
     raise KinkEqError(f"unknown move {move!r}")
 
 

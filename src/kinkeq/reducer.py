@@ -19,7 +19,7 @@ Per eliminated eigenvalue the round spends at most four negative kinks
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import gcd, isqrt
 
 from .errors import (
     InternalError,
@@ -29,11 +29,9 @@ from .errors import (
     KinkEqError,
 )
 from .exact import (
-    _lift,
     IntMatrix,
     SymMatrix,
     congruence as apply_congruence,
-    determinant,
     diagonalizing_congruence,
     extend_primitive,
     inertia,
@@ -79,13 +77,14 @@ def find_positive_vector(G: SymMatrix) -> tuple[int, ...]:
     eigenvalue, with polynomially bounded entry sizes.
     """
     n = G.n
+    g = G.rows  # d*G with d > 0: the same signs, in integers
     for i in range(n):
-        if G[i, i] > 0:
+        if g[i][i] > 0:
             return tuple(1 if t == i else 0 for t in range(n))
     for i in range(n):
         for j in range(i + 1, n):
             for s in (1, -1):
-                if G[i, i] + 2 * s * G[i, j] + G[j, j] > 0:
+                if g[i][i] + 2 * s * g[i][j] + g[j][j] > 0:
                     return tuple(
                         1 if t == i else (s if t == j else 0) for t in range(n)
                     )
@@ -107,7 +106,7 @@ def _shrink_positive_vector(G: SymMatrix, b: tuple[int, ...]) -> tuple[int, ...]
     witness has large entries.
     """
     n = G.n
-    _, g = _lift(G)  # the form of d*G, d > 0, has the same signs, in integers
+    g = G.rows  # the form of d*G, d > 0, has the same signs, in integers
     u = list(b)
     value = sum(u[i] * g[i][j] * u[j] for i in range(n) for j in range(n))
     # value is maintained incrementally across steps
@@ -157,7 +156,7 @@ def integralize_first_row(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     n = G.n
     if n == 0 or G[0, 0] <= 0:
         raise NonpositiveCorner(f"top-left entry must be positive, got {'0x0 matrix' if n == 0 else G[0, 0]}")
-    d = lcm(*[G[0, j].denominator for j in range(n)])
+    d = G.den // gcd(G.den, *G.rows[0])  # the lcm of the first-row denominators
     if d == 1:
         return G, []
     P = IntMatrix.shear(n + 1, {(0, 0): d, (0, n): 1, (n, 0): d - 1})
@@ -240,10 +239,10 @@ def reduce(G: SymMatrix, target: str) -> Trace:
         dual = reduce(G.neg(), mirror)
         return Trace(G, tuple(_flip(m) for m in dual.moves), dual.end.neg())
 
-    if target == NEG_DEFINITE and determinant(G) == 0:
+    start_inertia = inertia(G)
+    if target == NEG_DEFINITE and start_inertia.n_zero:
         raise SingularForDefiniteTarget("definite targets need a nonsingular matrix")
 
-    start_inertia = inertia(G)
     moves: list[Move] = []
     current = G
     for _ in range(start_inertia.n_plus):

@@ -23,6 +23,7 @@ from kinkeq import (
     cct_2x2,
     cct_search,
     congruence,
+    count_moves,
     determinant,
     icct_trace,
     inertia,
@@ -110,18 +111,16 @@ def test_criterion_4_integer_reduction_bounds_500_matrices():
         assert after.n_plus == 0
         assert after.n_zero == before.n_zero
         assert abs(determinant(trace.end)) == abs_det
-        neg_kinks = sum(1 for m in trace.moves if isinstance(m, Kink) and m.sign == -1)
-        pos_unkinks = sum(1 for m in trace.moves if isinstance(m, Unkink) and m.sign == 1)
-        assert neg_kinks <= 4 * before.n_plus
-        assert pos_unkinks == before.n_plus
+        stats = count_moves(trace.moves)
+        assert stats.neg_kinks <= 4 * before.n_plus
+        assert stats.pos_unkinks == before.n_plus
 
         mirror = reduce(G, POS_SEMIDEFINITE)
         assert verify_trace(mirror).valid
         assert inertia(mirror.end).n_minus == 0
-        pos_kinks = sum(1 for m in mirror.moves if isinstance(m, Kink) and m.sign == 1)
-        neg_unkinks = sum(1 for m in mirror.moves if isinstance(m, Unkink) and m.sign == -1)
-        assert pos_kinks <= 4 * before.n_minus
-        assert neg_unkinks == before.n_minus
+        stats = count_moves(mirror.moves)
+        assert stats.pos_kinks <= 4 * before.n_minus
+        assert stats.neg_unkinks == before.n_minus
 
         if abs_det != 0:
             neg = reduce(G, NEG_DEFINITE)
@@ -154,10 +153,9 @@ def test_criterion_5_rational_reduction_bound_and_integralization_example():
         after = inertia(trace.end)
         assert after.n_plus == 0 and after.n_zero == before.n_zero
         assert abs(determinant(trace.end)) == abs(determinant(G))
-        neg_kinks = sum(1 for m in trace.moves if isinstance(m, Kink) and m.sign == -1)
-        pos_unkinks = sum(1 for m in trace.moves if isinstance(m, Unkink) and m.sign == 1)
-        assert neg_kinks <= 5 * before.n_plus
-        assert pos_unkinks == before.n_plus
+        stats = count_moves(trace.moves)
+        assert stats.neg_kinks <= 5 * before.n_plus
+        assert stats.pos_unkinks == before.n_plus
     assert time.time() - t0 < 120
 
 

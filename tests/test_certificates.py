@@ -3,7 +3,10 @@
 The digest covers ``reduce`` on seeded integer matrices (n <= 5, all four
 targets) and rational matrices (n <= 3, both semidefinite targets), the
 I + CC^T chain on a few C, and both hand-encoded chains.  A change to any
-move the reducer or the chain builders emit changes the digest.
+move the reducer or the chain builders emit changes the digest.  A second
+digest pins the matrix text formats on the same certificates: every start
+and end matrix in "sym N" form and every congruence matrix in "int R C"
+form.
 """
 
 import hashlib
@@ -14,12 +17,13 @@ from kinkeq import (
     NEG_SEMIDEFINITE,
     POS_DEFINITE,
     POS_SEMIDEFINITE,
+    Congruence,
     IntMatrix,
     determinant,
     icct_trace,
     reduce,
 )
-from kinkeq.formats import serialize_trace
+from kinkeq.formats import serialize_int_matrix, serialize_matrix, serialize_trace
 from kinkeq.worked_examples import (
     five_to_minus_five_trace,
     obstructed_matrix_reduction_trace,
@@ -28,6 +32,7 @@ from kinkeq.worked_examples import (
 from oracles import random_int_matrix, random_sym, random_sym_rational
 
 DIGEST = "c86216125521ada1743cef1008052540169d0da139bdbfc425f3edeecd44ff34"
+MATRIX_DIGEST = "5406fea9a4892aea1464c0213040b0bb248905cacce8b053b62129ea20bb53ad"
 
 
 def _certificates():
@@ -55,3 +60,14 @@ def test_certificate_digest():
     for trace in _certificates():
         digest.update(serialize_trace(trace).encode("utf-8"))
     assert digest.hexdigest() == DIGEST
+
+
+def test_matrix_text_digest():
+    digest = hashlib.sha256()
+    for trace in _certificates():
+        for G in (trace.start, trace.end):
+            digest.update(serialize_matrix(G).encode("utf-8"))
+        for move in trace.moves:
+            if isinstance(move, Congruence):
+                digest.update(serialize_int_matrix(move.matrix).encode("utf-8"))
+    assert digest.hexdigest() == MATRIX_DIGEST

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from kinkeq import (
     IntMatrix,
     SymMatrix,
+    Unkink,
+    apply_move,
     congruence,
     determinant,
     extend_primitive,
@@ -176,6 +179,35 @@ class TestCongruence:
         H = congruence(G, P)
         assert inertia(H) == inertia(G)
         assert abs(determinant(H)) == abs(determinant(G))
+
+
+class TestRepresentation:
+    """Every construction keeps den least: den > 0 and gcd(den, rows) = 1."""
+
+    @staticmethod
+    def random_shears_and_rotations(rng, n):
+        P = IntMatrix.identity(n)
+        for _ in range(rng.randint(0, 6) if n > 1 else 0):
+            if rng.random() < 0.3:
+                step = IntMatrix.rotation(n, rng.randrange(n))
+            else:
+                i, j = rng.sample(range(n), 2)
+                step = IntMatrix.shear(n, {(i, j): rng.randint(-3, 3)})
+            P = step.matmul(P)
+        return P
+
+    @settings(max_examples=60, deadline=None)
+    @given(sym_matrices(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_least_denominator(self, G, seed):
+        P = self.random_shears_and_rotations(random.Random(seed), G.n)
+        derived = [G, congruence(G, P), G.neg()]
+        for s in (1, -1):
+            derived += [G.block_sum(s), apply_move(G.block_sum(s), Unkink(s))]
+        for X in derived:
+            assert X.den > 0
+            assert gcd(X.den, *(x for row in X.rows for x in row)) == 1
+            assert SymMatrix.from_rows(X.entries) == X
+        assert derived[-1] == G
 
 
 class TestBuilders:

@@ -1,16 +1,18 @@
 """Text formats: matrices, traces, quadratic forms, blow-up report."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinkeq import IntMatrix, SymMatrix, inertia, verify_trace
+from kinkeq import IntMatrix, SymMatrix, goeritz_matrix, inertia, parse_diagram, verify_trace
 from kinkeq.errors import (
     BadRational,
     DegreeError,
+    KinkEqError,
     NotSymmetric,
     NotUnimodularForm,
     ParseError,
@@ -230,3 +232,47 @@ class TestBlowupReport:
             assert verify_trace(trace).valid
         neg_trace = parse_trace(sections[1].partition("---\n")[2])
         assert inertia(neg_trace.end).n_plus == 0
+
+
+FUZZ_SEEDS = [
+    (parse_matrix, "sym 3\n2 -1 1/2\n-1 +٣ 0\n1/2 0 -4/3  # note\n"),
+    (parse_int_matrix, "int 2 3\n1 0 -2\n0 +1 5\n"),
+    (lambda text: verify_trace(parse_trace(text)), serialize_trace(five_to_minus_five_trace())),
+    (lambda text: goeritz_matrix(parse_diagram(text)), "regions 4\n0 1 +\n1 2 -\n2 3 +\n0 3 +\n"),
+    (parse_quadratic_form, "x1^2 + ٣*x1*x2 - 1/2*x2^2 + 2*x3^2"),
+]
+FUZZ_ALPHABET = list("0123456789/+-_.*^;# x\n٣") + [
+    "sym", "int", "trace", "congr", "kink", "unkink", "end", "empty", "regions", "/0", "x2",
+]
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + rng.choice(FUZZ_ALPHABET) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + rng.randint(1, 4) :]
+        elif op == 2:
+            text = text[:i] + rng.choice(FUZZ_ALPHABET) + text[i + 1 :]
+        else:
+            lines = text.split("\n")
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+            text = "\n".join(lines)
+    # A size read from the text (regions N, the largest xN) still allocates
+    # N^2 cells before any check, so numbers stay at two characters.
+    return re.sub(r"[\d_]{3,}", lambda m: m.group()[:2], text)
+
+
+def test_mutated_inputs_raise_only_kinkeq_errors():
+    rng = random.Random(4)
+    for case in range(2000):
+        run, seed = FUZZ_SEEDS[case % len(FUZZ_SEEDS)]
+        text = _mutate(rng, seed)
+        try:
+            run(text)
+        except KinkEqError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"case {case}, input {text!r}: {type(exc).__name__}: {exc}")

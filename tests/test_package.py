@@ -5,9 +5,8 @@ from pathlib import Path
 
 import kinkeq
 
-SOURCES = sorted(Path(kinkeq.__file__).parent.glob("*.py")) + sorted(
-    (Path(__file__).resolve().parents[1] / "scripts").glob("*.py")
-)
+MODULES = sorted(Path(kinkeq.__file__).parent.glob("*.py"))
+SOURCES = MODULES + sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -19,3 +18,17 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found
+
+
+def test_no_private_cross_module_imports():
+    """A kinkeq module imports only public names from the others."""
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "kinkeq")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert MODULES and not found

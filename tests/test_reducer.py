@@ -18,6 +18,7 @@ from kinkeq import (
     POS_SEMIDEFINITE,
     SymMatrix,
     Unkink,
+    count_moves,
     determinant,
     eliminate_positive,
     find_positive_vector,
@@ -132,8 +133,9 @@ class TestEliminatePositive:
         G = SymMatrix.from_rows([[2]])
         out, moves = eliminate_positive(G)
         assert out == SymMatrix.from_rows([[-2]])
-        assert sum(1 for m in moves if isinstance(m, Kink)) == 1
-        assert sum(1 for m in moves if isinstance(m, Unkink)) == 1
+        stats = count_moves(moves)
+        assert stats.pos_kinks + stats.neg_kinks == 1
+        assert stats.pos_unkinks + stats.neg_unkinks == 1
         current = G
         from kinkeq import apply_move
 
@@ -145,7 +147,8 @@ class TestEliminatePositive:
         out, moves = eliminate_positive(OBSTRUCTED_GRAM_MATRIX)
         sig = inertia(out)
         assert (sig.n_plus, sig.n_minus, sig.n_zero) == (5, 1, 0)
-        assert sum(1 for m in moves if isinstance(m, Kink)) == 1  # corner k = 2
+        stats = count_moves(moves)
+        assert stats.pos_kinks + stats.neg_kinks == 1  # corner k = 2
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -159,7 +162,7 @@ class TestEliminatePositive:
         after = inertia(out)
         assert after.n_plus == before.n_plus - 1
         assert after.n_zero == before.n_zero
-        neg_kinks = sum(1 for m in moves if isinstance(m, Kink) and m.sign == -1)
+        neg_kinks = count_moves(moves).neg_kinks
         assert neg_kinks <= 4
         assert after.n_minus == before.n_minus + neg_kinks
         assert [m for m in moves if isinstance(m, Unkink)] == [Unkink(1)]
@@ -169,8 +172,9 @@ class TestReduce:
     def test_five_to_neg_definite(self):
         trace = reduce(SymMatrix.from_rows([[5]]), NEG_DEFINITE)
         assert trace.end == SymMatrix.from_rows([[-5]])
-        assert sum(1 for m in trace.moves if isinstance(m, Kink)) == 1
-        assert sum(1 for m in trace.moves if isinstance(m, Unkink)) == 1
+        stats = count_moves(trace.moves)
+        assert stats.pos_kinks + stats.neg_kinks == 1
+        assert stats.pos_unkinks + stats.neg_unkinks == 1
         assert verify_trace(trace).valid
 
     def test_obstructed_matrix(self):
@@ -211,10 +215,9 @@ class TestReduce:
         sig, before = inertia(trace.end), inertia(G)
         assert sig.n_minus == 0 and sig.n_zero == before.n_zero
         assert abs(determinant(trace.end)) == abs(determinant(G))
-        pos_kinks = sum(1 for m in trace.moves if isinstance(m, Kink) and m.sign == 1)
-        neg_unkinks = sum(1 for m in trace.moves if isinstance(m, Unkink) and m.sign == -1)
-        assert pos_kinks <= 4 * before.n_minus
-        assert neg_unkinks == before.n_minus
+        stats = count_moves(trace.moves)
+        assert stats.pos_kinks <= 4 * before.n_minus
+        assert stats.neg_unkinks == before.n_minus
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -225,5 +228,4 @@ class TestReduce:
         assert verify_trace(trace).valid
         before = inertia(G)
         assert inertia(trace.end).n_plus == 0
-        neg_kinks = sum(1 for m in trace.moves if isinstance(m, Kink) and m.sign == -1)
-        assert neg_kinks <= 5 * before.n_plus
+        assert count_moves(trace.moves).neg_kinks <= 5 * before.n_plus
