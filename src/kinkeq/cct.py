@@ -68,28 +68,19 @@ def icct_trace(C: IntMatrix) -> Trace:
             for i in range(n)
         ]
     )
-    moves: list[Move] = []
-    current = start
-    for _ in range(m):
-        moves.append(Kink(-1))
-        current = current.block_sum(-1)
-
     size = n + m
     block = {(i, n + j): C[i, j] for i in range(n) for j in range(m)}
     transposed = {(j, i): v for (i, j), v in block.items()}
-    for P in (IntMatrix.shear(size, block), IntMatrix.shear(size, transposed)):
-        if P != IntMatrix.identity(size):
-            moves.append(Congruence(P))
-            current = apply_move(current, moves[-1])
-
+    shears = (IntMatrix.shear(size, block), IntMatrix.shear(size, transposed))
+    moves: list[Move] = [Kink(-1)] * m
+    moves += [Congruence(P) for P in shears if P != IntMatrix.identity(size)]
     if n > 0 and m > 0:
         # rotate the leading I_n block to the back so it can be unkinked
         moves.append(Congruence(IntMatrix.rotation(size, n)))
-        current = apply_move(current, moves[-1])
-
-    for _ in range(n):
-        moves.append(Unkink(1))
-        current = apply_move(current, moves[-1])
+    moves += [Unkink(1)] * n
+    current = start
+    for move in moves:
+        current = apply_move(current, move)
 
     ctc = ct.matmul(C)
     end = SymMatrix.from_rows(

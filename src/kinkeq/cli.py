@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success / valid certificate, 1 invalid certificate,
-2 usage or parse error.
+2 usage or parse error, or any other failure.
 """
 
 from __future__ import annotations
@@ -172,6 +172,9 @@ def main(argv=None) -> int:
         return 1
     except (KinkEqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a defect or an exhausted resource, never an invalid certificate
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

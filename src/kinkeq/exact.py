@@ -6,8 +6,9 @@ rational matrix G is stored as its integer lift: the least d > 0 with d*G
 integral and the integer rows of d*G.  The 0x0 matrix is a legitimate
 value throughout, with determinant 1 and inertia (0, 0, 0).
 
-``determinant`` and ``inertia`` use fraction-free (Bareiss) elimination on
-the lift, and ``congruence`` multiplies it by the nonzero entries of P.
+``determinant``, ``inertia`` and ``diagonalizing_congruence`` use
+fraction-free (Bareiss) elimination on the lift, and ``congruence``
+multiplies it by the nonzero entries of P.
 Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 22 (1968).
 """
@@ -221,21 +222,22 @@ def det_int(rows: int, entries: Sequence[Sequence[int]]) -> int:
 def _bareiss_step(a: list[list[int]], p: int, prev: int) -> None:
     """Eliminate below the pivot a[p][p] in place, fraction-free.
 
-    Row i > p becomes (piv*a_i - a_ip*a_p) // prev on the columns after p;
-    by Sylvester's identity every division is exact when prev is the
-    previous pivot.  Rows with a_ip = 0 are only rescaled.
+    Row i > p becomes (piv*a_i - a_ip*a_p) // prev on every column after p,
+    carried columns to the right of the square part included; by
+    Sylvester's identity every division is exact when prev is the previous
+    pivot.  Rows with a_ip = 0 are only rescaled.
     """
-    n = len(a)
     ap = a[p]
     piv = ap[p]
-    for i in range(p + 1, n):
+    cols = range(p + 1, len(ap))
+    for i in range(p + 1, len(a)):
         ai = a[i]
         f = ai[p]
         if f:
-            for j in range(p + 1, n):
+            for j in cols:
                 ai[j] = (ai[j] * piv - f * ap[j]) // prev
         elif piv != prev:
-            for j in range(p + 1, n):
+            for j in cols:
                 ai[j] = ai[j] * piv // prev
 
 
@@ -251,14 +253,15 @@ def is_unimodular(P: IntMatrix) -> bool:
     return det_int(P.rows, P.entries) in (1, -1)
 
 
-def _pivot(m: list[list], p: int, L: list[list] | None = None) -> bool:
+def _pivot(m: list[list[int]], p: int) -> bool:
     """Bring a nonzero entry to m[p][p] by a congruence on indices >= p.
 
     Swaps in a later nonzero diagonal entry.  When the trailing diagonal is
     all zero but some m[i][j] is not, adds row/column j into i (the new
     m[i][i] is 2*m[i][j] != 0) and swaps it in, so elimination always
-    terminates.  Row operations are repeated on L when given.  Returns
-    False when the trailing block is zero.
+    terminates.  Row operations act on whole rows, carried columns
+    included; column operations act on the square part.  Returns False
+    when the trailing block is zero.
     """
     n = len(m)
 
@@ -266,8 +269,6 @@ def _pivot(m: list[list], p: int, L: list[list] | None = None) -> bool:
         m[i], m[j] = m[j], m[i]
         for row in m:
             row[i], row[j] = row[j], row[i]
-        if L is not None:
-            L[i], L[j] = L[j], L[i]
 
     if m[p][p] != 0:
         return True
@@ -282,11 +283,31 @@ def _pivot(m: list[list], p: int, L: list[list] | None = None) -> bool:
     m[i] = [x + y for x, y in zip(m[i], m[j])]
     for row in m:
         row[i] += row[j]
-    if L is not None:
-        L[i] = [x + y for x, y in zip(L[i], L[j])]
     if i != p:
         swap(p, i)
     return True
+
+
+def _eliminate(a: list[list[int]]) -> list[int]:
+    """Fraction-free symmetric elimination of the square part of ``a`` in
+    place; returns the pivots, stopping early when the rest is zero.
+
+    Bareiss updates keep every entry an integer minor; the congruence pivot
+    moves of ``_pivot`` act on the trailing indices only, so the divisions
+    stay exact.  Row p ends as prev_p times the row that Gaussian
+    elimination over the rationals leaves, prev_p being the pivot before
+    pivot p (1 for the first), so the eliminated diagonal entry is
+    pivot_p / prev_p; the rows from an early stop on carry the last pivot.
+    """
+    pivots = []
+    prev = 1
+    for p in range(len(a)):
+        if not _pivot(a, p):
+            break
+        _bareiss_step(a, p, prev)
+        prev = a[p][p]
+        pivots.append(prev)
+    return pivots
 
 
 def inertia(G: SymMatrix) -> Inertia:
@@ -296,56 +317,37 @@ def inertia(G: SymMatrix) -> Inertia:
 
 
 def inertia_and_abs_det(G: SymMatrix) -> tuple[Inertia, Fraction]:
-    """Inertia and |det G| from one fraction-free symmetric elimination.
+    """Inertia and |det G| from one elimination of the lift d*G.
 
-    Bareiss updates keep every entry an integer minor of the lift; the
-    congruence pivot moves of ``_pivot`` act on the trailing indices only,
-    so the divisions stay exact.  The diagonal entry eliminated at each step
-    is piv/prev, whose sign is read off the two integers.  The last pivot
-    is det(d*G) up to sign, since the pivot moves are unimodular; when
-    ``_pivot`` stops early the matrix is singular.
+    The sign of each eliminated diagonal entry pivot/prev is read off the
+    two integers.  The last pivot is det(d*G) up to sign, since the pivot
+    moves are unimodular; when the elimination stops early G is singular.
     """
     n = G.n
-    a = [list(row) for row in G.rows]
-    n_plus = n_minus = 0
-    prev = 1
-    for p in range(n):
-        if not _pivot(a, p):
-            prev = 0
-            break
-        piv = a[p][p]
-        if (piv > 0) == (prev > 0):
-            n_plus += 1
-        else:
-            n_minus += 1
-        _bareiss_step(a, p, prev)
-        prev = piv
-    return Inertia(n_plus, n_minus, n - n_plus - n_minus), Fraction(abs(prev), G.den**n)
+    pivots = _eliminate([list(row) for row in G.rows])
+    prevs = [1, *pivots]
+    n_plus = sum(1 for prev, piv in zip(prevs, pivots) if (piv > 0) == (prev > 0))
+    n_minus = len(pivots) - n_plus
+    abs_det = Fraction(abs(prevs[-1]), G.den**n) if len(pivots) == n else Fraction(0)
+    return Inertia(n_plus, n_minus, n - n_plus - n_minus), abs_det
 
 
 def diagonalizing_congruence(G: SymMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
     """Exact diagonal D and rational L with L G L^T = diag(D).
 
-    Row i of L is a witness direction: (row i) G (row i)^T = D[i].
+    Row i of L is a witness direction: (row i) G (row i)^T = D[i].  Runs the
+    elimination on [d*G | I]: row p divided by prev_p gives D_p (over d) on
+    the diagonal and L_p in the carried half.
     """
-    n = G.n
-    m = [list(row) for row in G.entries]
-    L = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for p in range(n):
-        if not _pivot(m, p, L):
-            break
-        pivot = m[p][p]
-        for i in range(p + 1, n):
-            f = m[i][p] / pivot
-            if f == 0:
-                continue
-            for j in range(p + 1, n):
-                m[i][j] -= f * m[p][j]
-            for j in range(n):
-                L[i][j] -= f * L[p][j]
-        for i in range(p + 1, n):
-            m[p][i] = m[i][p] = Fraction(0)
-    return [m[i][i] for i in range(n)], L
+    n, d = G.n, G.den
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(G.rows)]
+    pivots = _eliminate(a)
+    prevs = [1, *pivots]
+    scales = [prevs[min(p, len(pivots))] for p in range(n)]
+    return (
+        [Fraction(a[p][p], s * d) for p, s in enumerate(scales)],
+        [[Fraction(x, s) for x in a[p][n:]] for p, s in enumerate(scales)],
+    )
 
 
 def congruence(G: SymMatrix, P: IntMatrix) -> SymMatrix:

@@ -30,12 +30,12 @@ def _parse_rational(token: str, lineno: int | None = None) -> int | Fraction:
     """An int for "p", a Fraction for "p/q"."""
     if not _RATIONAL_RE.match(token):
         raise BadRational(f"bad rational {token!r}", line=lineno)
-    if "/" not in token:
-        return int(token)
     try:
-        return Fraction(token)
+        return int(token) if "/" not in token else Fraction(token)
     except ZeroDivisionError:
         raise BadRational(f"zero denominator in {token!r}", line=lineno) from None
+    except ValueError:  # past the interpreter's int string-conversion limit
+        raise BadRational(f"number too long ({len(token)} characters)", line=lineno) from None
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -229,7 +229,7 @@ def parse_quadratic_form(text: str) -> SymMatrix:
                 continue
             m = _VAR_RE.match(factor)
             if m:
-                idx = int(m.group(1))
+                idx = _parse_rational(m.group(1))
                 if idx < 1:
                     raise UnknownVariable(f"variables are numbered from x1, got {factor!r}")
                 powers[idx] = powers.get(idx, 0) + (2 if m.group(2) else 1)

@@ -31,7 +31,6 @@ from .errors import (
 from .exact import (
     IntMatrix,
     SymMatrix,
-    congruence as apply_congruence,
     diagonalizing_congruence,
     extend_primitive,
     inertia,
@@ -171,12 +170,19 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     """One round: n_plus drops by exactly one; at most 4 negative kinks
     (5 for rational input) and exactly one positive unkink."""
     moves: list[Move] = []
+
+    def play(*new: Move) -> None:
+        """Record the moves and apply them to G, in order."""
+        nonlocal G
+        for move in new:
+            moves.append(move)
+            G = apply_move(G, move)
+
     n = G.n
     b = find_positive_vector(G)
     if b != tuple(1 if t == 0 else 0 for t in range(n)):
         P = extend_primitive(b).transpose()  # first row b, so corner = b^T G b
-        moves.append(Congruence(P))
-        G = apply_congruence(G, P)
+        play(Congruence(P))
 
     G, int_moves = integralize_first_row(G)
     moves.extend(int_moves)
@@ -184,14 +190,10 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
 
     k = int(G[0, 0])
     squares = [s for s in four_squares(k - 1) if s != 0]
-    for _ in squares:
-        moves.append(Kink(-1))
-        G = G.block_sum(-1)
     if squares:
         m = n + len(squares)
         P = IntMatrix.shear(m, {(0, n + t): s for t, s in enumerate(squares)})
-        moves.append(Congruence(P))
-        G = apply_congruence(G, P)
+        play(*[Kink(-1)] * len(squares), Congruence(P))
         n = m
     if G[0, 0] != 1:
         raise InternalError(f"corner is {G[0, 0]} after folding in the squares, not 1")
@@ -199,14 +201,10 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     w = [int(G[0, j]) for j in range(1, n)]
     if any(w):
         P = IntMatrix.shear(n, {(i, 0): -x for i, x in enumerate(w, start=1)})
-        moves.append(Congruence(P))
-        G = apply_congruence(G, P)
+        play(Congruence(P))
     if n > 1:
-        P = IntMatrix.rotation(n, 1)
-        moves.append(Congruence(P))
-        G = apply_congruence(G, P)
-    moves.append(Unkink(1))
-    G = apply_move(G, Unkink(1))
+        play(Congruence(IntMatrix.rotation(n, 1)))
+    play(Unkink(1))
     return G, moves
 
 

@@ -3,8 +3,10 @@
 Everything here is deliberately written with different algorithms than the
 package under test: determinants by cofactor expansion, congruences by the
 dense rational triple product, eigenvalue sign counts from the exact
-characteristic polynomial.  Values frozen in the tests were computed with
-these oracles (or checked against published figures) before being asserted.
+characteristic polynomial, a diagonalizing congruence by Gaussian
+elimination over the rationals.  Values frozen in the tests were computed
+with these oracles (or checked against published figures) before being
+asserted.
 """
 
 from __future__ import annotations
@@ -52,6 +54,53 @@ def congruence_oracle(G: SymMatrix, P: IntMatrix) -> SymMatrix:
             for i in range(n)
         ]
     )
+
+
+def diagonalizing_congruence_oracle(G: SymMatrix):
+    """(D, L) with L G L^T = diag(D) by symmetric Gaussian elimination in
+    Fractions, with the package's pivot choice: a later nonzero diagonal
+    entry is swapped in; on an all-zero trailing diagonal the first nonzero
+    m[i][j] (i < j) has row/column j added into i, which is then swapped in.
+    Row operations are repeated on L."""
+    n = G.n
+    m = [list(row) for row in G.entries]
+    L = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+    def swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        L[i], L[j] = L[j], L[i]
+
+    for p in range(n):
+        if m[p][p] == 0:
+            q = next((q for q in range(p + 1, n) if m[q][q] != 0), None)
+            if q is None:
+                off = next(
+                    ((i, j) for i in range(p, n) for j in range(i + 1, n) if m[i][j] != 0), None
+                )
+                if off is None:
+                    break
+                i, j = off
+                m[i] = [x + y for x, y in zip(m[i], m[j])]
+                for row in m:
+                    row[i] += row[j]
+                L[i] = [x + y for x, y in zip(L[i], L[j])]
+                q = i
+            if q != p:
+                swap(p, q)
+        pivot = m[p][p]
+        for i in range(p + 1, n):
+            f = m[i][p] / pivot
+            if f == 0:
+                continue
+            for j in range(p + 1, n):
+                m[i][j] -= f * m[p][j]
+            for j in range(n):
+                L[i][j] -= f * L[p][j]
+        for i in range(p + 1, n):
+            m[p][i] = m[i][p] = Fraction(0)
+    return [m[i][i] for i in range(n)], L
 
 
 def charpoly(G: SymMatrix) -> list[Fraction]:

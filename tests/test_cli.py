@@ -187,6 +187,35 @@ def test_zero_denominator_exit_2(matrix_file, capsys, argv, text):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["det"], "sym 1\n" + "7" * 5000 + "\n"),
+        (["verify"], "trace\n" + "7" * 5000 + "\nend 1\n"),
+        (["qform", "x" + "1" * 5000 + "^2"], None),
+    ],
+    ids=["det", "verify", "qform"],
+)
+def test_number_past_int_conversion_limit_exit_2(matrix_file, capsys, argv, text):
+    if text is not None:
+        argv = argv + [matrix_file("in.txt", text)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too long" in err
+    assert err.count("\n") == 1
+
+
+def test_unexpected_exception_exit_2(matrix_file, capsys, monkeypatch):
+    import kinkeq.cli
+
+    def broken(G):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(kinkeq.cli, "determinant", broken)
+    assert main(["det", matrix_file("g.sym", "sym 1\n3\n")]) == 2
+    assert capsys.readouterr().err == "error: RuntimeError: boom\n"
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["inertia", "/nonexistent/file"]) == 2
 

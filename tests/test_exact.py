@@ -27,6 +27,7 @@ from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX
 from oracles import (
     cofactor_det,
     congruence_oracle,
+    diagonalizing_congruence_oracle,
     inertia_oracle,
     random_sym,
     random_unimodular,
@@ -311,6 +312,7 @@ class TestDiagonalization:
     @given(sym_matrices())
     def test_rows_are_sign_witnesses(self, G):
         diag, L = diagonalizing_congruence(G)
+        assert (diag, L) == diagonalizing_congruence_oracle(G)
         for i, d in enumerate(diag):
             assert evaluate_form(G, L[i]) == d
         sig = inertia(G)

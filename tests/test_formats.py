@@ -35,6 +35,9 @@ from kinkeq.worked_examples import (
 
 from oracles import random_sym_rational
 
+# past CPython's default int string-conversion limit (4300 digits)
+LONG = "7" * 5000
+
 
 class TestMatrixFormat:
     def test_basic(self):
@@ -200,6 +203,24 @@ class TestQuadraticForm:
                 for (i, j) in coeffs
             )
             assert evaluate_form(G, v) == direct
+
+
+@pytest.mark.parametrize(
+    "parse, text, error",
+    [
+        (parse_matrix, f"sym 1\n{LONG}\n", BadRational),
+        (parse_matrix, f"sym 1\n1/{LONG}\n", BadRational),
+        (parse_int_matrix, f"int 1 1\n{LONG}\n", ParseError),
+        (parse_trace, f"trace\n{LONG}\nend 1\n", BadRational),
+        (parse_quadratic_form, f"{LONG}*x1^2", BadRational),
+        (parse_quadratic_form, f"x{LONG}^2", BadRational),
+        (parse_diagram, f"regions {LONG}\n", ParseError),
+    ],
+    ids=["matrix", "matrix-denominator", "int-matrix", "trace", "qform", "qform-index", "diagram"],
+)
+def test_rejects_numbers_past_the_int_conversion_limit(parse, text, error):
+    with pytest.raises(error):
+        parse(text)
 
 
 class TestBlowupReport:

@@ -32,3 +32,21 @@ def test_no_private_cross_module_imports():
         if alias.name.startswith("_")
     ]
     assert MODULES and not found
+
+
+def test_moves_applied_in_one_place():
+    """Only ``exact`` (the kernels) and ``moves`` (``apply_move``) know how a
+    move acts on a matrix; ``__init__`` may re-export ``congruence``."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name not in ("exact.py", "moves.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (
+            isinstance(node, ast.ImportFrom)
+            and path.name != "__init__.py"
+            and any(alias.name == "congruence" for alias in node.names)
+        )
+        or (isinstance(node, ast.Attribute) and node.attr in ("congruence", "block_sum"))
+    ]
+    assert MODULES and not found
