@@ -18,7 +18,7 @@ from .exact import (
     inertia,
     require_integral,
 )
-from .moves import Congruence, Kink, Move, Trace, Unkink, apply_move
+from .moves import Congruence, Kink, Move, Trace, Unkink, replay
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,6 @@ def icct_trace(C: IntMatrix) -> Trace:
         # rotate the leading I_n block to the back so it can be unkinked
         moves.append(Congruence(IntMatrix.rotation(size, n)))
     moves += [Unkink(1)] * n
-    current = start
-    for move in moves:
-        current = apply_move(current, move)
 
     ctc = ct.matmul(C)
     end = SymMatrix.from_rows(
@@ -89,7 +86,7 @@ def icct_trace(C: IntMatrix) -> Trace:
             for i in range(m)
         ]
     )
-    if current != end:
+    if replay(start, moves) != end:
         raise InternalError("replayed I + CC^T chain does not end at -(I + C^T C)")
     return Trace(start, tuple(moves), end)
 

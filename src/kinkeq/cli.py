@@ -18,6 +18,7 @@ from .formats import (
     parse_matrix,
     parse_quadratic_form,
     parse_trace,
+    read_number,
     serialize_int_matrix,
     serialize_matrix,
     serialize_trace,
@@ -71,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("foursquares", help="write K as a sum of four squares")
-    p.add_argument("k", type=int)
+    p.add_argument("k")
 
     p = sub.add_parser("cct", help="Gram-factor operations")
     cct_sub = p.add_subparsers(dest="cct_command", required=True)
@@ -131,7 +132,7 @@ def _run(args: argparse.Namespace) -> int:
             f"congruences {stats.congruences}"
         )
     elif args.command == "foursquares":
-        a, b, c, d = four_squares(args.k)
+        a, b, c, d = four_squares(read_number(args.k, None, True))
         print(f"{a} {b} {c} {d}")
     elif args.command == "cct":
         if args.cct_command == "search":

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -56,14 +57,16 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
-        if data:
-            cols = len(data[0])
-            if any(len(row) != cols for row in data):
-                raise SizeMismatch("ragged rows")
-        elif cols is None:
-            cols = 0
-        return cls(len(data), cols, data)
+        try:
+            data = tuple(tuple(map(index, row)) for row in rows)
+        except TypeError:
+            raise NotIntegerMatrix("entries must be integers") from None
+        width = len(data[0]) if data else cols or 0
+        if any(len(row) != width for row in data):
+            raise SizeMismatch("ragged rows")
+        if cols not in (None, width):
+            raise SizeMismatch(f"{cols} columns given, the rows have {width}")
+        return cls(len(data), width, data)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -193,7 +196,7 @@ class Inertia:
         return self.n_plus - self.n_minus
 
 
-def det_int(rows: int, entries: Sequence[Sequence[int]]) -> int:
+def _det_int(rows: int, entries: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free elimination.
 
     Bareiss one-step algorithm: all intermediate values are exact integers
@@ -242,15 +245,18 @@ def _bareiss_step(a: list[list[int]], p: int, prev: int) -> None:
 
 
 def determinant(G: SymMatrix) -> Fraction:
-    """Exact determinant via Bareiss on the integer lift."""
-    return Fraction(det_int(G.n, G.rows), G.den**G.n)
+    """Exact determinant: the last pivot of the elimination of the lift d*G
+    is det(d*G), since the pivot moves are congruences by matrices of
+    determinant +-1; when the elimination stops early G is singular."""
+    pivots = [1, *_eliminate([list(row) for row in G.rows])]
+    return Fraction(pivots[-1] if len(pivots) > G.n else 0, G.den**G.n)
 
 
 def is_unimodular(P: IntMatrix) -> bool:
     """True iff P is square with determinant +1 or -1."""
     if P.rows != P.cols:
         return False
-    return det_int(P.rows, P.entries) in (1, -1)
+    return _det_int(P.rows, P.entries) in (1, -1)
 
 
 def _pivot(m: list[list[int]], p: int) -> bool:
@@ -359,7 +365,7 @@ def congruence(G: SymMatrix, P: IntMatrix) -> SymMatrix:
     if P.rows != P.cols or P.rows != G.n:
         raise SizeMismatch(f"P is {P.rows}x{P.cols}, G is {G.n}x{G.n}")
     if not is_unimodular(P):
-        raise NotUnimodular(f"det(P) = {det_int(P.rows, P.entries)}")
+        raise NotUnimodular(f"det(P) = {_det_int(P.rows, P.entries)}")
     n = G.n
     g = G.rows
     sparse = [[(k, p) for k, p in enumerate(row) if p] for row in P.entries]

@@ -1,14 +1,14 @@
 """Text formats: matrices, traces, quadratic forms, and the blow-up report.
 
-All numbers are exact ("p" or "p/q", never decimal) and output is
-deterministic, so every format round-trips bit-exactly.
+All numbers are exact ("p" or "p/q" in ASCII digits, read by ``read_rows``)
+and output is deterministic, so every format round-trips bit-exactly.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import (
     BadRational,
@@ -23,19 +23,51 @@ from .exact import IntMatrix, SymMatrix, inertia_and_abs_det
 from .moves import Congruence, Kink, Move, Trace, Unkink, count_moves
 from .reducer import NEG_DEFINITE, POS_DEFINITE, reduce
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_NUMBER_RE = re.compile("[+-]?[0-9]+(/[0-9]+)?")
 
 
-def _parse_rational(token: str, lineno: int | None = None) -> int | Fraction:
-    """An int for "p", a Fraction for "p/q"."""
-    if not _RATIONAL_RE.match(token):
-        raise BadRational(f"bad rational {token!r}", line=lineno)
-    try:
-        return int(token) if "/" not in token else Fraction(token)
-    except ZeroDivisionError:
-        raise BadRational(f"zero denominator in {token!r}", line=lineno) from None
-    except ValueError:  # past the interpreter's int string-conversion limit
-        raise BadRational(f"number too long ({len(token)} characters)", line=lineno) from None
+def read_rows(text: str, line: int | None, integers: bool) -> list[list[int | Fraction]]:
+    """The rows of a table line, or of an inline matrix (rows split by ";",
+    "empty" for none): ints, and Fractions for "p/q" unless ``integers``.
+
+    On ASCII text without "_", ``int`` and ``Fraction`` accept exactly the
+    tokens of ``_NUMBER_RE``, so the bad token is looked for only when a
+    conversion fails."""
+    if text == "empty":
+        return []
+    if text.isascii() and "_" not in text and not (integers and "/" in text):
+        try:
+            return [
+                [int(t) if "/" not in t else Fraction(t) for t in row.split()]
+                for row in text.split(";")
+            ]
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise _refusal(text, line, integers)
+
+
+def read_number(text: str, line: int | None, integers: bool) -> int | Fraction:
+    """The one number that ``text`` holds, read by ``read_rows``."""
+    rows = read_rows(text, line, integers)
+    if len(rows) != 1 or len(rows[0]) != 1:
+        raise ParseError(f"expected one number, got {text!r}", line=line)
+    return rows[0][0]
+
+
+def _refusal(text: str, line: int | None, integers: bool) -> ParseError:
+    """Why ``read_rows`` refuses ``text``: its first bad token, if any."""
+    for token in text.replace(";", " ").split():
+        if not _NUMBER_RE.fullmatch(token):
+            return BadRational(f"bad number {token!r}", line=line)
+        if integers and "/" in token:
+            return ParseError(f"expected an integer, got {token!r}", line=line)
+        try:
+            Fraction(token)
+        except ZeroDivisionError:
+            return BadRational(f"zero denominator in {token!r}", line=line)
+        except ValueError:  # past the interpreter's int string-conversion limit
+            return BadRational(f"number too long ({len(token)} characters)", line=line)
+    return ParseError(f"non-ASCII space in {text!r}", line=line)
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -48,11 +80,9 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def _read_table(
-    text: str, header: str, entry: Callable[[str, int], object]
-) -> tuple[list[int], list[list]]:
+def _read_table(text: str, header: str, integers: bool) -> tuple[list[int], list[list]]:
     """Read the sizes named in ``header`` ("sym N" or "int R C") and the
-    rows under it, converting each token with ``entry(token, lineno)``.
+    rows under it.
 
     The first size is the row count and the last the row length.
     """
@@ -64,44 +94,40 @@ def _read_table(
     keyword, *names = header.split()
     if len(parts) != 1 + len(names) or parts[0] != keyword:
         raise ParseError(f"expected header {header!r}", line=no)
-    plural = len(names) > 1
-    try:
-        sizes = [int(p) for p in parts[1:]]
-    except ValueError:
-        raise ParseError("bad sizes in header" if plural else f"bad size {parts[1]!r}", line=no)
+    sizes = [read_number(p, no, True) for p in parts[1:]]
     if min(sizes) < 0:
-        raise ParseError(f"size{'s' if plural else ''} must be nonnegative", line=no)
+        raise ParseError("sizes must be nonnegative", line=no)
     if len(lines) - 1 != sizes[0]:
         raise ParseError(f"expected {sizes[0]} rows, found {len(lines) - 1}")
     rows = []
     for no, line in lines[1:]:
-        tokens = line.split()
-        if len(tokens) != sizes[-1]:
-            raise ParseError(f"expected {sizes[-1]} entries, found {len(tokens)}", line=no)
-        rows.append([entry(t, no) for t in tokens])
+        row = read_rows(line, no, integers)
+        if len(row) != 1 or len(row[0]) != sizes[-1]:
+            raise ParseError(f"expected one row of {sizes[-1]} entries", line=no)
+        rows += row
     return sizes, rows
 
 
-def _parse_int(token: str, lineno: int) -> int:
+def _symmetric(rows: list[list], line: int | None) -> SymMatrix:
     try:
-        return int(token)
-    except ValueError:
-        raise ParseError("entries must be integers", line=lineno)
+        return SymMatrix.from_rows(rows)
+    except SizeMismatch as exc:
+        raise NotSymmetric(str(exc), line=line)
 
 
 def parse_matrix(text: str) -> SymMatrix:
     """Read the "sym N" format: header, then N rows of N rationals."""
-    _, rows = _read_table(text, "sym N", _parse_rational)
-    try:
-        return SymMatrix.from_rows(rows)
-    except SizeMismatch as exc:
-        raise NotSymmetric(str(exc))
+    return _symmetric(_read_table(text, "sym N", False)[1], None)
+
+
+def _write_row(row) -> str:
+    return " ".join(map(str, row))
 
 
 def _write_table(header: str, rows) -> str:
     """The header line, then one line per row; str prints an int as "p"
     and a Fraction as "p" or "p/q" in lowest terms."""
-    return "\n".join([header, *(" ".join(map(str, row)) for row in rows)]) + "\n"
+    return "\n".join([header, *map(_write_row, rows)]) + "\n"
 
 
 def _printable_rows(G: SymMatrix):
@@ -115,7 +141,7 @@ def serialize_matrix(G: SymMatrix) -> str:
 
 def parse_int_matrix(text: str) -> IntMatrix:
     """Read the "int R C" format for rectangular integer matrices."""
-    (_, cols), rows = _read_table(text, "int R C", _parse_int)
+    (_, cols), rows = _read_table(text, "int R C", True)
     return IntMatrix.from_rows(rows, cols=cols)
 
 
@@ -125,33 +151,7 @@ def serialize_int_matrix(C: IntMatrix) -> str:
 
 def _write_inline(rows) -> str:
     """Rows joined by ";" on one line, or "empty" when there are none."""
-    return ";".join(" ".join(map(str, row)) for row in rows) if rows else "empty"
-
-
-def _parse_inline_sym(token: str, lineno: int) -> SymMatrix:
-    if token == "empty":
-        return SymMatrix.empty()
-    rows = [
-        [_parse_rational(t, lineno) for t in row.split()]
-        for row in token.split(";")
-    ]
-    try:
-        return SymMatrix.from_rows(rows)
-    except SizeMismatch as exc:
-        raise NotSymmetric(str(exc), line=lineno)
-
-
-def _parse_inline_int(token: str, lineno: int) -> IntMatrix:
-    if token == "empty":
-        return IntMatrix.from_rows([], cols=0)
-    try:
-        rows = [[int(t) for t in row.split()] for row in token.split(";")]
-    except ValueError:
-        raise ParseError("congruence entries must be integers", line=lineno)
-    try:
-        return IntMatrix.from_rows(rows)
-    except SizeMismatch as exc:
-        raise ParseError(str(exc), line=lineno)
+    return ";".join(map(_write_row, rows)) if rows else "empty"
 
 
 def serialize_trace(trace: Trace) -> str:
@@ -176,7 +176,7 @@ def parse_trace(text: str) -> Trace:
     if first != "trace":
         raise ParseError("expected literal 'trace' on the first line", line=no)
     no, start_line = lines[1]
-    start = _parse_inline_sym(start_line, no)
+    start = _symmetric(read_rows(start_line, no, False), no)
     moves: list[Move] = []
     end = None
     for no, line in lines[2:]:
@@ -185,14 +185,17 @@ def parse_trace(text: str) -> Trace:
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
         if keyword == "congr":
-            moves.append(Congruence(_parse_inline_int(rest, no)))
+            try:
+                moves.append(Congruence(IntMatrix.from_rows(read_rows(rest, no, True))))
+            except SizeMismatch as exc:
+                raise ParseError(str(exc), line=no)
         elif keyword in ("kink", "unkink"):
             if rest not in ("+1", "-1"):
                 raise ParseError(f"{keyword} sign must be +1 or -1", line=no)
             sign = 1 if rest == "+1" else -1
             moves.append(Kink(sign) if keyword == "kink" else Unkink(sign))
         elif keyword == "end":
-            end = _parse_inline_sym(rest, no)
+            end = _symmetric(read_rows(rest, no, False), no)
         else:
             raise ParseError(f"unknown move {keyword!r}", line=no)
     if end is None:
@@ -201,8 +204,7 @@ def parse_trace(text: str) -> Trace:
 
 
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
-_VAR_RE = re.compile(r"^x(\d+)(\^2)?$")
-_NUM_RE = re.compile(r"^\d+(/\d+)?$")
+_VAR_RE = re.compile(r"^x([^A-Za-z^]+)(\^2)?$")
 _NAME_RE = re.compile(r"^[A-Za-z]\w*(\^\d+)?$")
 
 
@@ -224,19 +226,16 @@ def parse_quadratic_form(text: str) -> SymMatrix:
         coeff: int | Fraction = -1 if term[0] == "-" else 1
         powers: dict[int, int] = {}
         for factor in term.lstrip("+-").split("*"):
-            if _NUM_RE.match(factor):
-                coeff *= _parse_rational(factor)
-                continue
             m = _VAR_RE.match(factor)
             if m:
-                idx = _parse_rational(m.group(1))
+                idx = read_number(m.group(1), None, True)
                 if idx < 1:
                     raise UnknownVariable(f"variables are numbered from x1, got {factor!r}")
                 powers[idx] = powers.get(idx, 0) + (2 if m.group(2) else 1)
-                continue
-            if _NAME_RE.match(factor):
+            elif _NAME_RE.match(factor):
                 raise UnknownVariable(f"unknown variable {factor!r}")
-            raise ParseError(f"bad factor {factor!r}")
+            else:
+                coeff *= read_number(factor, None, False)
         degree = sum(powers.values())
         if degree != 2:
             raise DegreeError(f"monomial {term!r} has degree {degree}, expected 2")

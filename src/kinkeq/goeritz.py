@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, RegionOutOfRange, SelfPairedCrossing
 from .exact import SymMatrix
-from .formats import content_lines
+from .formats import content_lines, read_number, read_rows
 
 
 @dataclass(frozen=True)
@@ -35,19 +35,14 @@ def parse_diagram(text: str) -> Diagram:
         if region_count is None:
             if len(parts) != 2 or parts[0] != "regions":
                 raise ParseError("expected header 'regions N'", line=lineno)
-            try:
-                region_count = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad region count {parts[1]!r}", line=lineno)
+            region_count = read_number(parts[1], lineno, True)
             if region_count < 1:
                 raise ParseError("need at least 1 region", line=lineno)
             continue
-        if len(parts) != 3:
+        labels = read_rows(" ".join(parts[:-1]), lineno, True)
+        if len(labels) != 1 or len(labels[0]) != 2:
             raise ParseError("expected crossing line 'i j s'", line=lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("region labels must be integers", line=lineno)
+        i, j = labels[0]
         if parts[2] not in ("+", "-"):
             raise ParseError(f"sign must be '+' or '-', got {parts[2]!r}", line=lineno)
         if not (0 <= i < region_count and 0 <= j < region_count):

@@ -13,6 +13,7 @@ preserves: nullity and |determinant|.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,6 +101,11 @@ def apply_move(G: SymMatrix, move: Move) -> SymMatrix:
         # the dropped row is (0, ..., 0, +-den), so den stays least
         return SymMatrix(G.den, tuple(row[:-1] for row in G.rows[:-1]))
     raise KinkEqError(f"unknown move {move!r}")
+
+
+def replay(start: SymMatrix, moves: Iterable[Move]) -> SymMatrix:
+    """``start`` after ``moves``, each applied and checked by ``apply_move``."""
+    return functools.reduce(apply_move, moves, start)
 
 
 def _kind(move: Move) -> str:

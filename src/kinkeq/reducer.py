@@ -37,7 +37,7 @@ from .exact import (
     primitive_scale,
     require_integral,
 )
-from .moves import Congruence, Kink, Move, Trace, Unkink, apply_move, count_moves
+from .moves import Congruence, Kink, Move, Trace, Unkink, count_moves, replay
 
 NEG_DEFINITE = "neg_definite"
 POS_DEFINITE = "pos_definite"
@@ -160,10 +160,7 @@ def integralize_first_row(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
         return G, []
     P = IntMatrix.shear(n + 1, {(0, 0): d, (0, n): 1, (n, 0): d - 1})
     moves: list[Move] = [Kink(-1), Congruence(P)]
-    out = G
-    for move in moves:
-        out = apply_move(out, move)
-    return out, moves
+    return replay(G, moves), moves
 
 
 def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
@@ -174,9 +171,8 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     def play(*new: Move) -> None:
         """Record the moves and apply them to G, in order."""
         nonlocal G
-        for move in new:
-            moves.append(move)
-            G = apply_move(G, move)
+        moves.extend(new)
+        G = replay(G, new)
 
     n = G.n
     b = find_positive_vector(G)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import InternalError
 from .exact import IntMatrix, SymMatrix
-from .moves import Congruence, Kink, Move, Trace, Unkink, apply_move
+from .moves import Congruence, Kink, Move, Trace, Unkink, replay
 
 # 6x6 positive-definite matrix that is not a Gram product of any integer
 # matrix, yet reduces to [[-2,-1],[-1,-2]]; |det| = 3.
@@ -31,10 +31,7 @@ def _congr(rows) -> Congruence:
 
 
 def _finish(start: SymMatrix, moves: list[Move]) -> Trace:
-    current = start
-    for move in moves:
-        current = apply_move(current, move)
-    return Trace(start, tuple(moves), current)
+    return Trace(start, tuple(moves), replay(start, moves))
 
 
 def five_to_minus_five_trace() -> Trace:

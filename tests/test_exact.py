@@ -20,7 +20,7 @@ from kinkeq import (
     is_unimodular,
     primitive_scale,
 )
-from kinkeq.errors import NotPrimitive, NotUnimodular, SizeMismatch, ZeroVector
+from kinkeq.errors import NotIntegerMatrix, NotPrimitive, NotUnimodular, SizeMismatch, ZeroVector
 from kinkeq.exact import Inertia, diagonalizing_congruence, evaluate_form, inertia_and_abs_det
 from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX
 
@@ -229,6 +229,17 @@ class TestBuilders:
         G = SymMatrix.diagonal(list(range(1, n + 1)))
         values = list(range(1, n + 1))
         assert congruence(G, IntMatrix.rotation(n, k)) == SymMatrix.diagonal(values[k:] + values[:k])
+
+
+class TestIntMatrixFromRows:
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), 2.7, "3"], ids=["fraction", "float", "str"])
+    def test_rejects_non_integer_entries(self, entry):
+        with pytest.raises(NotIntegerMatrix):
+            IntMatrix.from_rows([[1, entry]])
+
+    def test_rejects_disagreeing_cols(self):
+        with pytest.raises(SizeMismatch):
+            IntMatrix.from_rows([[1, 2]], cols=3)
 
 
 class TestUnimodularity:

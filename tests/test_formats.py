@@ -1,7 +1,9 @@
 """Text formats: matrices, traces, quadratic forms, blow-up report."""
 
+import io
 import random
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinkeq import IntMatrix, SymMatrix, goeritz_matrix, inertia, parse_diagram, verify_trace
+from kinkeq.cli import main
 from kinkeq.errors import (
     BadRational,
     DegreeError,
@@ -221,6 +224,53 @@ class TestQuadraticForm:
 def test_rejects_numbers_past_the_int_conversion_limit(parse, text, error):
     with pytest.raises(error):
         parse(text)
+
+
+def _zero_rows(count, width):
+    return "".join(f"{' '.join(['0'] * width)}\n" for _ in range(count))
+
+
+def _four_squares_cli(token):
+    """The K that ``kinkeq foursquares`` read, as the sum of its squares."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        if main(["foursquares", token]) == 2:
+            raise ParseError(f"exit 2 for {token!r}")
+    return sum(int(x) ** 2 for x in out.getvalue().split())
+
+
+# Every place a number is read: (id, integers only, run(token, n) -> the
+# number read, tokens that the place refuses for its own reasons).  n is
+# the token's value as int() would read it, for the text around it.
+NUMBER_READERS = [
+    ("sym-entry", False, lambda t, n: parse_matrix(f"sym 1\n{t}\n")[0, 0], ()),
+    ("sym-header", True, lambda t, n: parse_matrix(f"sym {t}\n" + _zero_rows(n, n)).n, ()),
+    ("int-entry", True, lambda t, n: parse_int_matrix(f"int 1 1\n{t}\n")[0, 0], ()),
+    ("int-header", True, lambda t, n: parse_int_matrix(f"int {t} 1\n" + _zero_rows(n, 1)).rows, ()),
+    ("trace-start", False, lambda t, n: parse_trace(f"trace\n{t}\nend 1\n").start[0, 0], ()),
+    ("congr", True, lambda t, n: parse_trace(f"trace\n1\ncongr {t}\nend 1\n").moves[0].matrix[0, 0], ()),
+    ("trace-end", False, lambda t, n: parse_trace(f"trace\n1\nend {t}\n").end[0, 0], ()),
+    ("diagram-count", True, lambda t, n: parse_diagram(f"regions {t}\n").region_count, ("-0",)),
+    ("diagram-label", True, lambda t, n: parse_diagram(f"regions 11\n{t} 1 +\n").crossings[0][0], ()),
+    ("qform-coefficient", False, lambda t, n: parse_quadratic_form(f"{t}*x1^2")[0, 0], ()),
+    # a sign starts a new term, so a signed index is no index
+    ("qform-index", True, lambda t, n: parse_quadratic_form(f"x{t}^2").n, ("+7", "-0")),
+    ("foursquares", True, lambda t, n: _four_squares_cli(t), ()),
+]
+
+
+@pytest.mark.parametrize("token", ["1_0", "٣", "+7", "-0", "007", "3/6"])
+@pytest.mark.parametrize(
+    "integers, run, refused", [r[1:] for r in NUMBER_READERS], ids=[r[0] for r in NUMBER_READERS]
+)
+def test_one_number_grammar(token, integers, run, refused):
+    """ASCII digits only, no "_", and "p/q" only where rationals are allowed."""
+    value = Fraction(token)  # lenient: reads "1_0" as 10 and "٣" as 3
+    if token in ("1_0", "٣", *refused) or (integers and "/" in token):
+        with pytest.raises(ParseError):
+            run(token, int(value))
+    else:
+        assert run(token, int(value)) == value
 
 
 class TestBlowupReport:

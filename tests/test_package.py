@@ -50,3 +50,19 @@ def test_moves_applied_in_one_place():
         or (isinstance(node, ast.Attribute) and node.attr in ("congruence", "block_sum"))
     ]
     assert MODULES and not found
+
+
+def test_numbers_read_only_in_formats():
+    """``goeritz`` and ``cli`` read numbers with the readers in ``formats``,
+    so the token grammar lives there alone: neither calls ``int`` or
+    ``Fraction`` nor passes them on, as ``type=int`` or ``map(int, ...)`` do."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name in ("goeritz.py", "cli.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        for name in [node.func, *node.args, *(keyword.value for keyword in node.keywords)]
+        if isinstance(name, ast.Name) and name.id in ("int", "Fraction")
+    ]
+    assert MODULES and not found
