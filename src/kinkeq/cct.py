@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import isqrt
 
@@ -18,7 +17,7 @@ from .exact import (
     inertia,
     require_integral,
 )
-from .moves import Congruence, Kink, Move, Trace, Unkink, replay
+from .moves import Congruence, Kink, Move, Trace, Unkink, apply_move, replay
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,14 @@ class GramFactor:
         return SymMatrix.from_rows(product.entries)
 
 
+def _identity_plus_gram(C: IntMatrix) -> SymMatrix:
+    """I + CC^T."""
+    gram = C.matmul(C.transpose()).entries
+    return SymMatrix.from_rows(
+        [[x + int(i == j) for j, x in enumerate(row)] for i, row in enumerate(gram)]
+    )
+
+
 def icct_trace(C: IntMatrix) -> Trace:
     """Kink-equivalence from I + CC^T down to -(I + C^T C).
 
@@ -60,14 +67,6 @@ def icct_trace(C: IntMatrix) -> Trace:
     surviving identity block last, and n positive unkinks.
     """
     n, m = C.rows, C.cols
-    ct = C.transpose()
-    cct = C.matmul(ct)
-    start = SymMatrix.from_rows(
-        [
-            [cct.entries[i][j] + (1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-    )
     size = n + m
     block = {(i, n + j): C[i, j] for i in range(n) for j in range(m)}
     transposed = {(j, i): v for (i, j), v in block.items()}
@@ -79,19 +78,13 @@ def icct_trace(C: IntMatrix) -> Trace:
         moves.append(Congruence(IntMatrix.rotation(size, n)))
     moves += [Unkink(1)] * n
 
-    ctc = ct.matmul(C)
-    end = SymMatrix.from_rows(
-        [
-            [-(ctc.entries[i][j] + (1 if i == j else 0)) for j in range(m)]
-            for i in range(m)
-        ]
-    )
+    start, end = _identity_plus_gram(C), _identity_plus_gram(C.transpose()).neg()
     if replay(start, moves) != end:
         raise InternalError("replayed I + CC^T chain does not end at -(I + C^T C)")
     return Trace(start, tuple(moves), end)
 
 
-def cct_search(G: SymMatrix, rng: random.Random | None = None) -> GramFactor | None:
+def cct_search(G: SymMatrix) -> GramFactor | None:
     """Exhaustive canonical search for integer C with CC^T = G.
 
     Rows of C are filled in order; every column's entries are bounded by
@@ -100,9 +93,7 @@ def cct_search(G: SymMatrix, rng: random.Random | None = None) -> GramFactor | N
     space is finite.  Signed column permutations are quotiented out by
     requiring entries to be non-increasing inside blocks of columns with
     equal prefixes and nonnegative where the prefix is all zero, which
-    makes the first solution found canonical.  ``rng`` only shuffles the
-    branch order (used for completeness cross-checks); the search stays
-    exhaustive either way.
+    makes the first solution found canonical.
     """
     require_integral(G)
     sig = inertia(G)
@@ -150,11 +141,7 @@ def cct_search(G: SymMatrix, rng: random.Random | None = None) -> GramFactor | N
             reach = isqrt(norm_left)  # v * v <= norm_left
             lo = 0 if unsigned[j] else -reach
             hi = min(reach, x[j - 1]) if tied[j] else reach
-            values = range(hi, lo - 1, -1)
-            if rng is not None:
-                values = list(values)
-                rng.shuffle(values)
-            for v in values:
+            for v in range(hi, lo - 1, -1):
                 x[j] = v
                 for r in range(i):
                     dots[r] += v * earlier[r][j]
@@ -189,43 +176,32 @@ def reduce_binary_form(A: SymMatrix) -> tuple[SymMatrix, IntMatrix]:
     if A.n != 2:
         raise Not2x2(f"expected a 2x2 matrix, got {A.n}x{A.n}")
     require_integral(A)
-    a, b, c = int(A[0, 0]), int(A[0, 1]), int(A[1, 1])
+    (a, b), (_, c) = A.rows
     if a <= 0 or a * c - b * b <= 0:
         raise NotPositiveDefinite("matrix is not positive-definite")
 
-    e = [[1, 0], [0, 1]]  # accumulates A = E A' E^T
-
-    def absorb(s00, s01, s10, s11):
-        """Apply the congruence step S (A' <- S A' S^T, E <- E S^{-1})."""
-        nonlocal a, b, c
-        na = s00 * (s00 * a + s01 * b) + s01 * (s00 * b + s01 * c)
-        nb = s10 * (s00 * a + s01 * b) + s11 * (s00 * b + s01 * c)
-        nc = s10 * (s10 * a + s11 * b) + s11 * (s10 * b + s11 * c)
-        a, b, c = na, nb, nc
-        det = s00 * s11 - s01 * s10
-        i00, i01, i10, i11 = s11 * det, -s01 * det, -s10 * det, s00 * det
-        e[0][0], e[0][1] = e[0][0] * i00 + e[0][1] * i10, e[0][0] * i01 + e[0][1] * i11
-        e[1][0], e[1][1] = e[1][0] * i00 + e[1][1] * i10, e[1][0] * i01 + e[1][1] * i11
-
+    # each step S, with its inverse: A' <- S A' S^T keeps A = E A' E^T as E <- E S^-1
+    reduced, E = A, IntMatrix.identity(2)
     while True:
+        (a, b), (_, c) = reduced.rows
         if a > c:
-            absorb(0, 1, 1, 0)
-            continue
-        if 2 * abs(b) > a:
+            S = S_inv = IntMatrix.rotation(2, 1)
+        elif 2 * abs(b) > a:
             # shift b by the nearest multiple of a (ties toward b > 0)
             t = (2 * b + a) // (2 * a)
             if 2 * (b - t * a) == -a:
                 t -= 1
-            absorb(1, 0, -t, 1)
-            continue
-        break
-    if b < 0 and (a == -b or a == c):
-        absorb(1, 0, 0, -1)
+            S, S_inv = IntMatrix.shear(2, {(1, 0): -t}), IntMatrix.shear(2, {(1, 0): t})
+        elif b < 0 and (a == -b or a == c):
+            S = S_inv = IntMatrix.shear(2, {(1, 1): -1})
+        else:
+            break
+        reduced = apply_move(reduced, Congruence(S))
+        E = E.matmul(S_inv)
 
     if not (abs(b) <= a <= c) or (b < 0 and (a == abs(b) or a == c)):
         raise InternalError(f"binary form [[{a}, {b}], [{b}, {c}]] is not reduced")
-    reduced = SymMatrix.from_rows([[a, b], [b, c]])
-    return reduced, IntMatrix.from_rows(e, cols=2)
+    return reduced, E
 
 
 def cct_2x2(A: SymMatrix) -> GramFactor:
@@ -240,7 +216,7 @@ def reduced_gram_factor(reduced: SymMatrix, E: IntMatrix) -> GramFactor:
     On A' take a - |b| columns e_1, c - |b| columns e_2, and |b| columns
     (1, sgn b); pull back along E.
     """
-    a, b, c = int(reduced[0, 0]), int(reduced[0, 1]), int(reduced[1, 1])
+    (a, b), (_, c) = reduced.rows
     cols = (
         [(1, 0)] * (a - abs(b))
         + [(0, 1)] * (c - abs(b))

@@ -23,6 +23,7 @@ from operator import index
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    BadRational,
     InternalError,
     NotIntegerMatrix,
     NotPrimitive,
@@ -130,9 +131,10 @@ class SymMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "SymMatrix":
-        data = [
-            [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows
-        ]
+        data = [list(row) for row in rows]
+        bad = [x for row in data for x in row if not isinstance(x, (int, Fraction))]
+        if bad:
+            raise BadRational(f"entries must be int or Fraction, got {type(bad[0]).__name__}")
         n = len(data)
         if any(len(row) != n for row in data):
             raise SizeMismatch("matrix is not square")
@@ -171,12 +173,13 @@ class SymMatrix:
     def is_integral(self) -> bool:
         return self.den == 1
 
-    def block_sum(self, value) -> "SymMatrix":
+    def block_sum(self, value: int | Fraction) -> "SymMatrix":
         """Direct sum with the 1x1 block [value]."""
-        v = Fraction(value)
-        den = lcm(self.den, v.denominator)
+        if not isinstance(value, (int, Fraction)):
+            raise BadRational(f"value must be int or Fraction, got {type(value).__name__}")
+        den = lcm(self.den, value.denominator)
         rows = [tuple(x * (den // self.den) for x in row) + (0,) for row in self.rows]
-        rows.append((0,) * self.n + (v.numerator * (den // v.denominator),))
+        rows.append((0,) * self.n + (value.numerator * (den // value.denominator),))
         return SymMatrix(den, tuple(rows))
 
     def neg(self) -> "SymMatrix":
@@ -391,7 +394,10 @@ def extend_primitive(b: Sequence[int]) -> IntMatrix:
     by elementary integer row operations (extended-gcd pairs), accumulating
     the inverse of each step, so P carries an explicit certificate.
     """
-    b = [int(x) for x in b]
+    try:
+        b = [index(x) for x in b]
+    except TypeError:
+        raise NotIntegerMatrix("entries must be integers") from None
     n = len(b)
     if n == 0 or all(x == 0 for x in b):
         raise ZeroVector("cannot extend the zero vector")

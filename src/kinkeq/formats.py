@@ -84,7 +84,10 @@ def _read_table(text: str, header: str, integers: bool) -> tuple[list[int], list
     """Read the sizes named in ``header`` ("sym N" or "int R C") and the
     rows under it.
 
-    The first size is the row count and the last the row length.
+    The first size is the row count and the last the row length.  A row
+    of no entries is written as a blank line, which ``content_lines``
+    drops, so then no row lines are expected; the text must still hold a
+    line per row, which keeps the row count bounded by its length.
     """
     lines = list(content_lines(text))
     if not lines:
@@ -97,9 +100,15 @@ def _read_table(text: str, header: str, integers: bool) -> tuple[list[int], list
     sizes = [read_number(p, no, True) for p in parts[1:]]
     if min(sizes) < 0:
         raise ParseError("sizes must be nonnegative", line=no)
-    if len(lines) - 1 != sizes[0]:
+    rows: list[list] = []
+    if sizes[-1] == 0:
+        if len(lines) > 1:
+            raise ParseError("a row of no entries is a blank line", line=lines[1][0])
+        if len(text.splitlines()) - no < sizes[0]:
+            raise ParseError(f"expected {sizes[0]} blank lines for rows of no entries")
+        rows = [[] for _ in range(sizes[0])]
+    elif len(lines) - 1 != sizes[0]:
         raise ParseError(f"expected {sizes[0]} rows, found {len(lines) - 1}")
-    rows = []
     for no, line in lines[1:]:
         row = read_rows(line, no, integers)
         if len(row) != 1 or len(row[0]) != sizes[-1]:

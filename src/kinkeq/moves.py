@@ -34,13 +34,17 @@ class Congruence:
     matrix: IntMatrix
 
 
+def _check_sign(kind: str, sign: int) -> None:
+    if not isinstance(sign, int) or sign not in (1, -1):
+        raise KinkEqError(f"{kind} sign must be the int +1 or -1, got {sign!r}")
+
+
 @dataclass(frozen=True)
 class Kink:
     sign: int
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise KinkEqError(f"kink sign must be +1 or -1, got {self.sign}")
+        _check_sign("kink", self.sign)
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,7 @@ class Unkink:
     sign: int
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise KinkEqError(f"unkink sign must be +1 or -1, got {self.sign}")
+        _check_sign("unkink", self.sign)
 
 
 Move = Union[Congruence, Kink, Unkink]

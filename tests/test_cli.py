@@ -107,6 +107,14 @@ def test_cct_icct(matrix_file, capsys):
     assert verify_trace(trace).valid
 
 
+def test_cct_icct_rows_of_no_entries(matrix_file, capsys):
+    path = matrix_file("c.int", "int 2 0\n\n\n")
+    assert main(["cct", "icct", path]) == 0
+    trace = parse_trace(capsys.readouterr().out)
+    assert verify_trace(trace).valid
+    assert trace.start == trace.end.neg().block_sum(1).block_sum(1)
+
+
 def test_cct_reduce2(matrix_file, capsys):
     path = matrix_file("g.sym", "sym 2\n5 3\n3 6\n")
     assert main(["cct", "reduce2", path]) == 0

@@ -20,7 +20,14 @@ from kinkeq import (
     is_unimodular,
     primitive_scale,
 )
-from kinkeq.errors import NotIntegerMatrix, NotPrimitive, NotUnimodular, SizeMismatch, ZeroVector
+from kinkeq.errors import (
+    BadRational,
+    NotIntegerMatrix,
+    NotPrimitive,
+    NotUnimodular,
+    SizeMismatch,
+    ZeroVector,
+)
 from kinkeq.exact import Inertia, diagonalizing_congruence, evaluate_form, inertia_and_abs_det
 from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX
 
@@ -231,6 +238,25 @@ class TestBuilders:
         assert congruence(G, IntMatrix.rotation(n, k)) == SymMatrix.diagonal(values[k:] + values[:k])
 
 
+class TestSymMatrixEntries:
+    BAD = [1.0, float("nan"), None, "1_0", "3"]
+    IDS = ["float", "nan", "none", "underscore-str", "str"]
+
+    @pytest.mark.parametrize("entry", BAD, ids=IDS)
+    def test_from_rows_accepts_only_int_and_fraction(self, entry):
+        with pytest.raises(BadRational):
+            SymMatrix.from_rows([[1, entry], [entry, 1]])
+
+    @pytest.mark.parametrize("entry", BAD, ids=IDS)
+    def test_block_sum_accepts_only_int_and_fraction(self, entry):
+        with pytest.raises(BadRational):
+            SymMatrix.empty().block_sum(entry)
+
+    def test_block_sum_of_fraction(self):
+        G = SymMatrix.from_rows([[2]]).block_sum(Fraction(-1, 3))
+        assert G == SymMatrix.diagonal([2, Fraction(-1, 3)])
+
+
 class TestIntMatrixFromRows:
     @pytest.mark.parametrize("entry", [Fraction(1, 2), 2.7, "3"], ids=["fraction", "float", "str"])
     def test_rejects_non_integer_entries(self, entry):
@@ -267,6 +293,11 @@ class TestExtendPrimitive:
     def test_rejects_zero(self):
         with pytest.raises(ZeroVector):
             extend_primitive((0, 0))
+
+    @pytest.mark.parametrize("b", [(Fraction(1, 2), 1), (Fraction(1), 0), (1.0, 0), ("1", 0)])
+    def test_rejects_non_integers(self, b):
+        with pytest.raises(NotIntegerMatrix):
+            extend_primitive(b)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=6))

@@ -94,6 +94,22 @@ class TestIntMatrixFormat:
         C = IntMatrix.from_rows([], cols=0)
         assert parse_int_matrix(serialize_int_matrix(C)) == C
 
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (2, 0), (2, 3)])
+    def test_round_trip_shapes(self, rows, cols):
+        C = IntMatrix.from_rows([[i - j for j in range(cols)] for i in range(rows)], cols=cols)
+        text = serialize_int_matrix(C)
+        assert text == f"int {rows} {cols}\n" + "".join(
+            " ".join(map(str, row)) + "\n" for row in C.entries
+        )
+        assert parse_int_matrix(text) == C
+
+    def test_rows_of_no_entries_are_blank_lines(self):
+        with pytest.raises(ParseError) as exc:
+            parse_int_matrix("int 2 0\n\n5\n")
+        assert exc.value.line == 3
+        with pytest.raises(ParseError):  # the row count must not pass the text
+            parse_int_matrix("int 1000000000000 0\n\n")
+
     def test_rejects_fraction(self):
         with pytest.raises(ParseError):
             parse_int_matrix("int 1 1\n1/2\n")

@@ -54,6 +54,10 @@ class TestApplyMove:
             Kink(2)
         with pytest.raises(KinkEqError):
             Unkink(0)
+        with pytest.raises(KinkEqError):
+            Kink(1.0)
+        with pytest.raises(KinkEqError):
+            Unkink(1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, -1]))

@@ -66,3 +66,39 @@ def test_numbers_read_only_in_formats():
         if isinstance(name, ast.Name) and name.id in ("int", "Fraction")
     ]
     assert MODULES and not found
+
+
+DEFAULTS_ALLOWED = {
+    "cli.main(argv)",
+    "errors.ParseError.__init__(line)",
+    "exact.IntMatrix.from_rows(cols)",
+}
+
+
+def _defaulted_parameters(node, prefix):
+    """``prefix.name(param)`` for every parameter with a default of every
+    function under ``node``, classes and nested functions included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = f"{prefix}.{getattr(child, 'name', '<lambda>')}"
+            args = child.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            yield from (f"{name}({a.arg})" for a in defaulted)
+            yield from _defaulted_parameters(child, name)
+        elif isinstance(child, ast.ClassDef):
+            yield from _defaulted_parameters(child, f"{prefix}.{child.name}")
+        else:
+            yield from _defaulted_parameters(child, prefix)
+
+
+def test_no_new_parameter_defaults():
+    """A parameter with a default is a behaviour knob; only the listed ones
+    exist, and each is an optional input rather than a setting."""
+    found = {
+        param
+        for path in MODULES
+        for param in _defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert MODULES and found <= DEFAULTS_ALLOWED, sorted(found - DEFAULTS_ALLOWED)
