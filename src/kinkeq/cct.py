@@ -43,8 +43,7 @@ class GramFactor:
                 col = tuple(-x for x in col)
             cols.append(col)
         cols.sort(reverse=True)
-        rows = tuple(tuple(col[i] for col in cols) for i in range(C.rows))
-        return cls(IntMatrix(C.rows, len(cols), rows))
+        return cls(IntMatrix.from_rows(cols, cols=C.rows).transpose())
 
     def gram(self) -> SymMatrix:
         product = self.matrix.matmul(self.matrix.transpose())
@@ -108,7 +107,6 @@ def cct_search(G: SymMatrix) -> GramFactor | None:
         """Yield canonical rows x with |x| bounded, sum x^2 = G_ii and
         x . rows[r] = G_ir for all r < i."""
         target_norm = g[i][i]
-        bound = isqrt(target_norm)
         targets = list(g[i][:i])
         # suffix squared norms of earlier rows, for a Cauchy-Schwarz prune
         suffix = [
@@ -131,8 +129,6 @@ def cct_search(G: SymMatrix) -> GramFactor | None:
             if j == m:
                 if norm_left == 0 and dots == targets:
                     yield tuple(x)
-                return
-            if norm_left > (m - j) * bound * bound:
                 return
             for r in range(i):
                 gap = targets[r] - dots[r]
@@ -222,7 +218,5 @@ def reduced_gram_factor(reduced: SymMatrix, E: IntMatrix) -> GramFactor:
         + [(0, 1)] * (c - abs(b))
         + [(1, 1 if b > 0 else -1)] * abs(b)
     )
-    Cprime = IntMatrix.from_rows(
-        [[col[0] for col in cols], [col[1] for col in cols]], cols=len(cols)
-    )
+    Cprime = IntMatrix.from_rows(cols, cols=2).transpose()
     return GramFactor.from_matrix(E.matmul(Cprime))

@@ -29,6 +29,7 @@ from .errors import (
     NotPrimitive,
     NotUnimodular,
     SizeMismatch,
+    UnkinkShapeViolation,
     ZeroVector,
 )
 
@@ -182,6 +183,20 @@ class SymMatrix:
         rows.append((0,) * self.n + (value.numerator * (den // value.denominator),))
         return SymMatrix(den, tuple(rows))
 
+    def strip_block(self, sign: int) -> "SymMatrix":
+        """The unkink: drop a trailing block [sign], sign +-1; undoes ``block_sum(sign)``."""
+        if not self.rows:
+            raise UnkinkShapeViolation("cannot unkink the empty matrix")
+        last = self.rows[-1]
+        if sign not in (1, -1) or last[-1] != sign * self.den:
+            raise UnkinkShapeViolation(
+                f"trailing diagonal entry is {self[-1, -1]}, expected {sign}"
+            )
+        if any(last[:-1]):
+            raise UnkinkShapeViolation("trailing row/column is not zero off the diagonal")
+        # the dropped row is (0, ..., 0, +-den), so den stays least
+        return SymMatrix(self.den, tuple(row[:-1] for row in self.rows[:-1]))
+
     def neg(self) -> "SymMatrix":
         return SymMatrix(self.den, tuple(tuple(-x for x in row) for row in self.rows))
 
@@ -199,13 +214,13 @@ class Inertia:
         return self.n_plus - self.n_minus
 
 
-def _det_int(rows: int, entries: Sequence[Sequence[int]]) -> int:
+def _det_int(entries: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free elimination.
 
     Bareiss one-step algorithm: all intermediate values are exact integers
     (minors of the input), so there is no rational blow-up.
     """
-    n = rows
+    n = len(entries)
     if n == 0:
         return 1
     a = [list(row) for row in entries]
@@ -259,7 +274,7 @@ def is_unimodular(P: IntMatrix) -> bool:
     """True iff P is square with determinant +1 or -1."""
     if P.rows != P.cols:
         return False
-    return _det_int(P.rows, P.entries) in (1, -1)
+    return _det_int(P.entries) in (1, -1)
 
 
 def _pivot(m: list[list[int]], p: int) -> bool:
@@ -368,7 +383,7 @@ def congruence(G: SymMatrix, P: IntMatrix) -> SymMatrix:
     if P.rows != P.cols or P.rows != G.n:
         raise SizeMismatch(f"P is {P.rows}x{P.cols}, G is {G.n}x{G.n}")
     if not is_unimodular(P):
-        raise NotUnimodular(f"det(P) = {_det_int(P.rows, P.entries)}")
+        raise NotUnimodular(f"det(P) = {_det_int(P.entries)}")
     n = G.n
     g = G.rows
     sparse = [[(k, p) for k, p in enumerate(row) if p] for row in P.entries]
@@ -401,9 +416,7 @@ def extend_primitive(b: Sequence[int]) -> IntMatrix:
     n = len(b)
     if n == 0 or all(x == 0 for x in b):
         raise ZeroVector("cannot extend the zero vector")
-    g = 0
-    for x in b:
-        g = gcd(g, x)
+    g = gcd(*b)
     if g != 1:
         raise NotPrimitive(f"gcd of entries is {g}")
 
@@ -443,9 +456,7 @@ def primitive_scale(u: Sequence) -> tuple[int, ...]:
         raise ZeroVector("cannot normalize the zero vector")
     d = lcm(*[x.denominator for x in v])
     ints = [int(x * d) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 

@@ -213,7 +213,7 @@ def parse_trace(text: str) -> Trace:
 
 
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
-_VAR_RE = re.compile(r"^x([^A-Za-z^]+)(\^2)?$")
+_VAR_RE = re.compile(r"^x([^A-Za-z^]+)(?:\^([^A-Za-z^]+))?$")
 _NAME_RE = re.compile(r"^[A-Za-z]\w*(\^\d+)?$")
 
 
@@ -222,6 +222,7 @@ def parse_quadratic_form(text: str) -> SymMatrix:
 
     Terms are c*xi^2 and c*xi*xj with rational c; cross-term coefficients
     are halved, so an odd integer cross-term makes a half-integer entry.
+    A factor xi^e adds e to its term's degree, which must be 2.
     """
     s = "".join(text.split())
     if not s:
@@ -240,7 +241,10 @@ def parse_quadratic_form(text: str) -> SymMatrix:
                 idx = read_number(m.group(1), None, True)
                 if idx < 1:
                     raise UnknownVariable(f"variables are numbered from x1, got {factor!r}")
-                powers[idx] = powers.get(idx, 0) + (2 if m.group(2) else 1)
+                # terms are split at signs, so the exponent is unsigned
+                power = read_number(m.group(2), None, True) if m.group(2) else 1
+                if power:
+                    powers[idx] = powers.get(idx, 0) + power
             elif _NAME_RE.match(factor):
                 raise UnknownVariable(f"unknown variable {factor!r}")
             else:

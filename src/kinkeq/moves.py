@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import InvalidTrace, KinkEqError, UnkinkShapeViolation
+from .errors import InvalidTrace, KinkEqError
 from .exact import (
     Inertia,
     IntMatrix,
@@ -85,24 +85,13 @@ class VerificationReport:
 
 
 def apply_move(G: SymMatrix, move: Move) -> SymMatrix:
-    """Apply one move, checking its preconditions exactly."""
+    """Apply one move by its kernel in ``exact``, which checks it exactly."""
     if isinstance(move, Congruence):
         return congruence(G, move.matrix)
     if isinstance(move, Kink):
         return G.block_sum(move.sign)
     if isinstance(move, Unkink):
-        n = G.n
-        if n == 0:
-            raise UnkinkShapeViolation("cannot unkink the empty matrix")
-        last = G.rows[-1]
-        if last[-1] != move.sign * G.den:
-            raise UnkinkShapeViolation(
-                f"trailing diagonal entry is {G[n - 1, n - 1]}, expected {move.sign}"
-            )
-        if any(last[:-1]):
-            raise UnkinkShapeViolation("trailing row/column is not zero off the diagonal")
-        # the dropped row is (0, ..., 0, +-den), so den stays least
-        return SymMatrix(G.den, tuple(row[:-1] for row in G.rows[:-1]))
+        return G.strip_block(move.sign)
     raise KinkEqError(f"unknown move {move!r}")
 
 

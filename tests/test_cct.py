@@ -1,6 +1,7 @@
 """Gram factors: the I+CC^T chain, exhaustive search, 2x2 reduction."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,12 @@ from kinkeq import (
     reduce_binary_form,
     verify_trace,
 )
-from kinkeq.errors import Not2x2, NotPositiveDefinite, NotPositiveSemidefinite
+from kinkeq.errors import (
+    Not2x2,
+    NotIntegerMatrix,
+    NotPositiveDefinite,
+    NotPositiveSemidefinite,
+)
 
 from oracles import random_int_matrix, random_posdef_2x2
 
@@ -90,6 +96,10 @@ class TestCctSearch:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveSemidefinite):
             cct_search(SymMatrix.diagonal([1, -1]))
+
+    def test_rejects_non_integer(self):
+        with pytest.raises(NotIntegerMatrix):
+            cct_search(SymMatrix.from_rows([[Fraction(1, 2)]]))
 
     def test_diagonal_three_has_factor(self):
         # diag entry 3 forces three unit columns in the first row

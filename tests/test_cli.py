@@ -5,7 +5,7 @@ import pytest
 from kinkeq.cli import main
 from kinkeq.formats import parse_trace, serialize_matrix, serialize_trace
 from kinkeq import SymMatrix, verify_trace
-from kinkeq.worked_examples import five_to_minus_five_trace
+from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX, five_to_minus_five_trace
 
 
 @pytest.fixture
@@ -98,6 +98,12 @@ def test_cct_search_found(matrix_file, capsys):
     path = matrix_file("g.sym", "sym 1\n2\n")
     assert main(["cct", "search", path]) == 0
     assert capsys.readouterr().out == "int 1 2\n1 1\n"
+
+
+def test_cct_search_none(matrix_file, capsys):
+    path = matrix_file("g.sym", serialize_matrix(OBSTRUCTED_GRAM_MATRIX))
+    assert main(["cct", "search", path]) == 0
+    assert capsys.readouterr().out == "NONE\n"
 
 
 def test_cct_icct(matrix_file, capsys):

@@ -165,6 +165,8 @@ class TestCongruence:
     def test_rejects_non_unimodular(self):
         with pytest.raises(NotUnimodular):
             congruence(SymMatrix.diagonal([1, 1]), IntMatrix.from_rows([[2, 0], [0, 1]]))
+        with pytest.raises(NotUnimodular, match=r"^det\(P\) = 0$"):
+            congruence(SymMatrix.diagonal([1, 1]), IntMatrix.from_rows([[0, 1], [0, 1]]))
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(SizeMismatch):
@@ -267,6 +269,10 @@ class TestIntMatrixFromRows:
         with pytest.raises(SizeMismatch):
             IntMatrix.from_rows([[1, 2]], cols=3)
 
+    def test_matmul_rejects_size_mismatch(self):
+        with pytest.raises(SizeMismatch):
+            IntMatrix.identity(2).matmul(IntMatrix.identity(3))
+
 
 class TestUnimodularity:
     def test_examples(self):
@@ -274,13 +280,16 @@ class TestUnimodularity:
         assert not is_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
         assert is_unimodular(IntMatrix.from_rows([], cols=0))
         assert not is_unimodular(IntMatrix.from_rows([[1, 0]], cols=2))
+        assert not is_unimodular(IntMatrix.from_rows([[0, 1], [0, 1]]))
 
 
 class TestExtendPrimitive:
     def test_standard_basis_vector(self):
         assert extend_primitive((1, 0, 0)) == IntMatrix.identity(3)
 
-    @pytest.mark.parametrize("b", [(2, 3), (6, 10, 15), (-3, 5), (0, 0, 1), (1,)])
+    @pytest.mark.parametrize(
+        "b", [(2, 3), (6, 10, 15), (-3, 5), (0, 0, 1), (1,), (-1,), (-1, 0, 0)]
+    )
     def test_postconditions(self, b):
         P = extend_primitive(b)
         assert is_unimodular(P)
@@ -350,6 +359,14 @@ class TestPrimitiveScale:
 
 
 class TestDiagonalization:
+    def test_add_into_pivot_swapped_in(self):
+        # trailing diagonal all zero at p = 0; the first nonzero off-diagonal
+        # entry is (1, 2), so row/column 2 is added into 1, which is swapped in
+        G = SymMatrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+        assert inertia(G) == Inertia(1, 1, 1)
+        assert determinant(G) == 0
+        assert diagonalizing_congruence(G) == diagonalizing_congruence_oracle(G)
+
     @settings(max_examples=60, deadline=None)
     @given(sym_matrices())
     def test_rows_are_sign_witnesses(self, G):

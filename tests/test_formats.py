@@ -63,6 +63,11 @@ class TestMatrixFormat:
             parse_matrix("sym 1\n3/0\n")
         assert exc.value.line == 2
 
+    def test_rejects_non_ascii_space(self):
+        with pytest.raises(ParseError, match="non-ASCII space") as exc:
+            parse_matrix("sym 2\n1\u00a00\n0 1\n")
+        assert exc.value.line == 2
+
     def test_rejects_bad_header(self):
         with pytest.raises(ParseError):
             parse_matrix("matrix 2\n1 0\n0 1\n")
@@ -136,6 +141,8 @@ class TestTraceFormat:
     def test_rejects_missing_end(self):
         with pytest.raises(ParseError):
             parse_trace("trace\n5\nkink -1\n")
+        with pytest.raises(ParseError, match="needs at least"):
+            parse_trace("trace\n5\n")
 
     def test_rejects_bad_move(self):
         with pytest.raises(ParseError) as exc:
@@ -179,6 +186,11 @@ class TestQuadraticForm:
     def test_repeated_variable_product(self):
         assert parse_quadratic_form("x1*x1") == SymMatrix.from_rows([[1]])
 
+    def test_exponents(self):
+        assert parse_quadratic_form("x1^1*x2") == parse_quadratic_form("x1*x2")
+        assert parse_quadratic_form("x1^0*x2^2") == SymMatrix.diagonal([0, 1])
+        assert parse_quadratic_form("3*x1^2*x2^0") == SymMatrix.from_rows([[3]])
+
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):
             parse_quadratic_form("y^2")
@@ -190,6 +202,10 @@ class TestQuadraticForm:
             parse_quadratic_form("x1^2*x2")
         with pytest.raises(DegreeError):
             parse_quadratic_form("x1 + x2^2")
+        with pytest.raises(DegreeError):
+            parse_quadratic_form("x1^3")
+        with pytest.raises(DegreeError):
+            parse_quadratic_form("x1^0")
 
     def test_parse_error(self):
         with pytest.raises(ParseError):

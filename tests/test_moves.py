@@ -1,6 +1,7 @@
 """Move model: application, trace verification, statistics."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,11 @@ class TestApplyMove:
         with pytest.raises(UnkinkShapeViolation):
             apply_move(SymMatrix.diagonal([3, -1]), Unkink(1))
 
+    def test_strip_block_rejects_non_unit_block(self):
+        # a 1/2 block would leave den = 2 on the integer matrix [[1]]
+        with pytest.raises(UnkinkShapeViolation):
+            SymMatrix.diagonal([1, Fraction(1, 2)]).strip_block(Fraction(1, 2))
+
     def test_unkink_rejects_empty(self):
         with pytest.raises(UnkinkShapeViolation):
             apply_move(SymMatrix.empty(), Unkink(1))
@@ -80,6 +86,13 @@ class TestVerifyTrace:
         report = verify_trace(Trace(G, (), SymMatrix.from_rows([[8]])))
         assert not report.valid
         assert report.failed_step == 0
+
+    def test_unknown_move_reported(self):
+        G = SymMatrix.from_rows([[7]])
+        report = verify_trace(Trace(G, ("twist",), G))
+        assert not report.valid
+        assert report.failed_step == 0
+        assert report.reason == "KinkEqError: unknown move 'twist'"
 
     def test_tampered_congruence_rejected(self):
         trace = five_to_minus_five_trace()

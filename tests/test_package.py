@@ -1,12 +1,14 @@
 """Package-wide source checks."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import kinkeq
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(Path(kinkeq.__file__).parent.glob("*.py"))
-SOURCES = MODULES + sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+SOURCES = MODULES + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -47,9 +49,48 @@ def test_moves_applied_in_one_place():
             and path.name != "__init__.py"
             and any(alias.name == "congruence" for alias in node.names)
         )
-        or (isinstance(node, ast.Attribute) and node.attr in ("congruence", "block_sum"))
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("congruence", "block_sum", "strip_block")
+        )
     ]
     assert MODULES and not found
+
+
+def test_matrices_built_only_in_exact():
+    """Only ``exact`` calls the ``SymMatrix`` and ``IntMatrix`` constructors;
+    everything else goes through their classmethods and the move kernels,
+    so the least-``den`` lift has one owner."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "exact.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("SymMatrix", "IntMatrix")
+    ]
+    assert MODULES and not found, found
+
+
+def test_traced_layers_exist():
+    """Every ``kinkeq.<module>.<function>`` that the bench tracer wraps
+    exists, so a rename cannot silently drop a layer from ``--trace 1``.
+    ``LAYERS`` is read from the source: the tracer is not imported."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
+    )
+    missing = [
+        f"{module}.{name}"
+        for module, names in layers.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"kinkeq.{module}"), name, None))
+    ]
+    assert layers and not missing, missing
 
 
 def test_numbers_read_only_in_formats():

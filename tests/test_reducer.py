@@ -191,6 +191,13 @@ class TestReduce:
         sig = inertia(trace.end)
         assert sig.n_minus == 0 and sig.n_zero == 1
 
+    @pytest.mark.parametrize("target", [NEG_SEMIDEFINITE, POS_SEMIDEFINITE])
+    def test_zero_diagonal_semidefinite(self, target):
+        G = SymMatrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+        trace = reduce(G, target)
+        assert verify_trace(trace).valid
+        assert inertia(trace.end).n_zero == 1
+
     def test_definite_target_needs_nonsingular(self):
         with pytest.raises(SingularForDefiniteTarget):
             reduce(SymMatrix.diagonal([0, 1]), NEG_DEFINITE)
