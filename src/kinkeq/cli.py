@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .cct import cct_search, icct_trace, reduce_binary_form, reduced_gram_factor
 from .errors import InvalidTrace, KinkEqError
@@ -47,7 +48,9 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="kinkeq",
         description="Exact kink-equivalence computations on symmetric matrices.",

@@ -8,9 +8,24 @@ value throughout, with determinant 1 and inertia (0, 0, 0).
 
 ``determinant``, ``inertia`` and ``diagonalizing_congruence`` use
 fraction-free (Bareiss) elimination on the lift, and ``congruence``
-multiplies it by the nonzero entries of P.
+multiplies it by the nonzero entries of P.  The elimination skips two
+kinds of zeros of a sparse matrix, such as a banded Goeritz matrix:
+
+- Rows are rescaled lazily.  A row with a zero in the pivot column is not
+  touched; its stamp, the pivot at which its values were last current,
+  stays.  When the row is next used it is brought up to date by
+  x * prev // stamp, fused into the Bareiss update.  The division is exact:
+  the skipped factors p_k / p_(k-1) telescope to prev / stamp, and the
+  current value is an integer minor.
+- Each row keeps the index of its last nonzero column, its envelope.  An
+  update stops at the larger of the row's and the pivot row's envelope, and
+  since the trailing block stays symmetric only rows up to the pivot row's
+  envelope can have a nonzero multiplier, so only those are visited.
+
 Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22 (1968).
+elimination", Math. Comp. 22 (1968).  George & Liu, *Computer Solution of
+Large Sparse Positive Definite Systems*, Prentice-Hall (1981), for
+envelope elimination.
 """
 
 from __future__ import annotations
@@ -18,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, count
 from math import gcd, lcm
 from operator import index
 from typing import Iterable, Mapping, Sequence
@@ -141,10 +157,9 @@ class SymMatrix:
             raise SizeMismatch("matrix is not square")
         den = lcm(*{x.denominator for row in data for x in row})
         lift = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
-        for i in range(n):
-            for j in range(i):
-                if lift[i][j] != lift[j][i]:
-                    raise SizeMismatch(f"entries ({i},{j}) and ({j},{i}) differ")
+        if tuple(zip(*lift)) != lift:
+            i, j = next((i, j) for i in range(n) for j in range(i) if lift[i][j] != lift[j][i])
+            raise SizeMismatch(f"entries ({i},{j}) and ({j},{i}) differ")
         return cls(den, lift)
 
     @classmethod
@@ -218,12 +233,18 @@ def _det_int(entries: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free elimination.
 
     Bareiss one-step algorithm: all intermediate values are exact integers
-    (minors of the input), so there is no rational blow-up.
+    (minors of the input), so there is no rational blow-up.  Only rows are
+    swapped, so the rows below a pivot are not symmetric and every one is
+    looked at.  Every row's end is n - 1: on the small congruence matrices
+    P that come here, finding the last nonzero of each row costs more than
+    the columns it would skip.
     """
     n = len(entries)
     if n == 0:
         return 1
     a = [list(row) for row in entries]
+    stamps = [1] * n
+    ends = [n - 1] * n
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -231,35 +252,65 @@ def _det_int(entries: Sequence[Sequence[int]]) -> int:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
+                    stamps[k], stamps[i] = stamps[i], stamps[k]
                     sign = -sign
                     break
             else:
                 return 0
-        _bareiss_step(a, k, prev)
+        _bareiss_step(a, k, prev, stamps, ends, n - 1)
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1] * prev // stamps[n - 1]
 
 
-def _bareiss_step(a: list[list[int]], p: int, prev: int) -> None:
-    """Eliminate below the pivot a[p][p] in place, fraction-free.
+def _catch_up(
+    a: list[list[int]], i: int, lo: int, prev: int, stamps: list[int], ends: list[int]
+) -> None:
+    """Bring row i up to date with the last pivot ``prev`` from column lo
+    on: x * prev // stamps[i], exact because the current value is an
+    integer minor (see ``_bareiss_step``)."""
+    stamp = stamps[i]
+    if stamp != prev:
+        row = a[i]
+        for j in range(lo, ends[i] + 1):
+            row[j] = row[j] * prev // stamp
+        stamps[i] = prev
 
-    Row i > p becomes (piv*a_i - a_ip*a_p) // prev on every column after p,
-    carried columns to the right of the square part included; by
-    Sylvester's identity every division is exact when prev is the previous
-    pivot.  Rows with a_ip = 0 are only rescaled.
+
+def _bareiss_step(
+    a: list[list[int]], p: int, prev: int, stamps: list[int], ends: list[int], last: int
+) -> None:
+    """Eliminate below the pivot a[p][p] in place, fraction-free, on the
+    rows p+1..last and every column after p.
+
+    Rows are rescaled lazily.  Row i holds its current values times
+    stamps[i] / prev, stamps[i] being the pivot at which it was last
+    current, and is zero past column ends[i].  A row whose entry in column
+    p is 0 is left as it is.  Any other row becomes
+    (piv*a_i - a_ip*a_p) // stamps[i] up to the larger of ends[i] and
+    ends[p]: with stale values y = x*s/prev the Bareiss update
+    (piv*x - x_p*a_p)/prev equals (piv*y - y_p*a_p)/s, so the rescale is
+    fused into it, and the division is exact because the result is an
+    integer minor (Sylvester's identity).
     """
+    if stamps[p] != prev:
+        _catch_up(a, p, p, prev, stamps, ends)
     ap = a[p]
     piv = ap[p]
-    cols = range(p + 1, len(ap))
-    for i in range(p + 1, len(a)):
+    end_p = ends[p]
+    cols_p = range(p + 1, end_p + 1)
+    for i in range(p + 1, last + 1):
         ai = a[i]
         f = ai[p]
         if f:
+            stamp = stamps[i]
+            stamps[i] = piv
+            if ends[i] > end_p:
+                cols = range(p + 1, ends[i] + 1)
+            else:
+                ends[i] = end_p
+                cols = cols_p
             for j in cols:
-                ai[j] = (ai[j] * piv - f * ap[j]) // prev
-        elif piv != prev:
-            for j in cols:
-                ai[j] = ai[j] * piv // prev
+                ai[j] = (ai[j] * piv - f * ap[j]) // stamp
 
 
 def determinant(G: SymMatrix) -> Fraction:
@@ -277,36 +328,50 @@ def is_unimodular(P: IntMatrix) -> bool:
     return _det_int(P.entries) in (1, -1)
 
 
-def _pivot(m: list[list[int]], p: int) -> bool:
-    """Bring a nonzero entry to m[p][p] by a congruence on indices >= p.
+def _pivot(m: list[list[int]], p: int, prev: int, stamps: list[int], ends: list[int]) -> bool:
+    """Bring a nonzero entry to m[p][p], which is 0, by a congruence on
+    indices >= p.
 
     Swaps in a later nonzero diagonal entry.  When the trailing diagonal is
     all zero but some m[i][j] is not, adds row/column j into i (the new
     m[i][i] is 2*m[i][j] != 0) and swaps it in, so elimination always
     terminates.  Row operations act on whole rows, carried columns
-    included; column operations act on the square part.  Returns False
-    when the trailing block is zero.
+    included; column operations act on the square part of rows p and
+    after, the earlier rows being final where they are read.  A swap
+    exchanges the stamps and ends of its rows and widens the ends of the
+    rows it moves a nonzero in; an add-into brings its two rows up to date
+    first (see ``_bareiss_step``).  Returns False when the trailing block is
+    zero.
     """
     n = len(m)
 
-    def swap(i, j):
+    def swap(i, j):  # i < j
         m[i], m[j] = m[j], m[i]
-        for row in m:
-            row[i], row[j] = row[j], row[i]
+        stamps[i], stamps[j] = stamps[j], stamps[i]
+        ends[i], ends[j] = ends[j], ends[i]
+        for r in range(p, n):
+            row = m[r]
+            if row[i] or row[j]:
+                row[i], row[j] = row[j], row[i]
+                ends[r] = max(ends[r], j)
 
-    if m[p][p] != 0:
-        return True
     pivot_row = next((q for q in range(p + 1, n) if m[q][q] != 0), None)
     if pivot_row is not None:
         swap(p, pivot_row)
         return True
-    off = next(((i, j) for i in range(p, n) for j in range(i + 1, n) if m[i][j] != 0), None)
+    off = next(
+        ((i, j) for i in range(p, n) for j in range(i + 1, min(ends[i] + 1, n)) if m[i][j] != 0),
+        None,
+    )
     if off is None:
         return False
     i, j = off
+    _catch_up(m, i, p, prev, stamps, ends)
+    _catch_up(m, j, p, prev, stamps, ends)
     m[i] = [x + y for x, y in zip(m[i], m[j])]
-    for row in m:
-        row[i] += row[j]
+    ends[i] = max(ends[i], ends[j])
+    for r in range(p, n):
+        m[r][i] += m[r][j]
     if i != p:
         swap(p, i)
     return True
@@ -322,13 +387,26 @@ def _eliminate(a: list[list[int]]) -> list[int]:
     elimination over the rationals leaves, prev_p being the pivot before
     pivot p (1 for the first), so the eliminated diagonal entry is
     pivot_p / prev_p; the rows from an early stop on carry the last pivot.
+    The trailing block stays symmetric, so only the rows up to the last
+    nonzero of the pivot row in the square part can have a nonzero in the
+    pivot column.
     """
+    n = len(a)
+    stamps = [1] * n
+    # the index of each row's last nonzero entry, -1 for a zero row; a
+    # dense row is answered by its last entry alone
+    ends = [
+        len(row) - 1 if row[-1] else len(row) - next(compress(count(1), reversed(row)), len(row))
+        for row in a
+    ]
     pivots = []
     prev = 1
-    for p in range(len(a)):
-        if not _pivot(a, p):
+    for p in range(n):
+        if not a[p][p] and not _pivot(a, p, prev, stamps, ends):
+            for i in range(p, n):
+                _catch_up(a, i, p, prev, stamps, ends)
             break
-        _bareiss_step(a, p, prev)
+        _bareiss_step(a, p, prev, stamps, ends, ends[p] if ends[p] < n else n - 1)
         prev = a[p][p]
         pivots.append(prev)
     return pivots
@@ -382,8 +460,9 @@ def congruence(G: SymMatrix, P: IntMatrix) -> SymMatrix:
     """
     if P.rows != P.cols or P.rows != G.n:
         raise SizeMismatch(f"P is {P.rows}x{P.cols}, G is {G.n}x{G.n}")
-    if not is_unimodular(P):
-        raise NotUnimodular(f"det(P) = {_det_int(P.entries)}")
+    det = _det_int(P.entries)
+    if det not in (1, -1):
+        raise NotUnimodular(f"det(P) = {det}")
     n = G.n
     g = G.rows
     sparse = [[(k, p) for k, p in enumerate(row) if p] for row in P.entries]

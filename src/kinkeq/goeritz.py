@@ -68,5 +68,5 @@ def goeritz_matrix(diagram: Diagram) -> SymMatrix:
         pre[i][j] -= eta
         pre[j][i] -= eta
     for i in range(n):
-        pre[i][i] = -sum(pre[i][j] for j in range(n) if j != i)
+        pre[i][i] -= sum(pre[i])  # leaves minus the off-diagonal sum
     return SymMatrix.from_rows([row[1:] for row in pre[1:]])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 from kinkeq import IntMatrix, SymMatrix
 
@@ -103,6 +104,15 @@ def diagonalizing_congruence_oracle(G: SymMatrix):
     return [m[i][i] for i in range(n)], L
 
 
+def elimination_invariants(G: SymMatrix):
+    """(D, L), (n_plus, n_minus, n_zero) and det G from
+    ``diagonalizing_congruence_oracle``: its L is a product of swaps and
+    unit shears, so det L = +-1 and det G = prod(D)."""
+    D, L = diagonalizing_congruence_oracle(G)
+    signs = (sum(d > 0 for d in D), sum(d < 0 for d in D), sum(d == 0 for d in D))
+    return (D, L), signs, prod(D, start=Fraction(1))
+
+
 def charpoly(G: SymMatrix) -> list[Fraction]:
     """Coefficients [1, c1, ..., cn] of det(xI - G), by Faddeev-LeVerrier."""
     n = G.n
@@ -190,3 +200,23 @@ def random_int_matrix(rng: random.Random, n: int, m: int, bound: int = 3) -> Int
     return IntMatrix.from_rows(
         [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(n)], cols=m
     )
+
+
+def random_banded_sym(rng: random.Random, n: int, band: int, diagonal: bool) -> list[list[int]]:
+    """Rows of a sparse symmetric integer matrix: each entry within ``band``
+    of the diagonal is nonzero with probability 1/2; the diagonal is all
+    zero unless ``diagonal``, and then has no entry of absolute value < 2,
+    so no pivot is +-1 and a row left stale differs from an updated one."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        if diagonal:
+            rows[i][i] = rng.choice((-1, 1)) * rng.randint(2, 5)
+        for j in range(i + 1, min(n, i + band + 1)):
+            if rng.random() < 0.5:
+                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+    return rows
+
+
+def direct_sum(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Rows of the block-diagonal matrix diag(a, b)."""
+    return [row + [0] * len(b) for row in a] + [[0] * len(a) + row for row in b]

@@ -237,3 +237,15 @@ def test_missing_file_exit_2(capsys):
 def test_usage_error_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+def test_parser_reused_after_usage_error(matrix_file, capsys):
+    # the parser is built once per process: a failed parse leaves nothing behind
+    path = matrix_file("m.txt", "sym 2\n5 3\n3 6\n")
+    assert main(["det"]) == 2
+    assert main(["foursquares", "x"]) == 2
+    capsys.readouterr()
+    assert main(["det", path]) == 0
+    assert capsys.readouterr().out == "21\n"
+    assert main(["inertia", path]) == 0
+    assert capsys.readouterr().out == "2 0 0\n"

@@ -35,7 +35,11 @@ from oracles import (
     cofactor_det,
     congruence_oracle,
     diagonalizing_congruence_oracle,
+    direct_sum,
+    elimination_invariants,
     inertia_oracle,
+    random_banded_sym,
+    random_int_matrix,
     random_sym,
     random_unimodular,
 )
@@ -171,6 +175,19 @@ class TestCongruence:
     def test_rejects_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             congruence(SymMatrix.diagonal([1, 1]), IntMatrix.identity(3))
+
+    def test_non_unimodular_message_is_the_cofactor_det(self):
+        # sparse square P with zero pivots: rows are swapped in stale
+        rng = random.Random("sparse-det")
+        G = SymMatrix.diagonal([1] * 7)
+        for _ in range(200):
+            dense = random_int_matrix(rng, 7, 7).entries
+            rows = [[x if rng.random() < 0.3 else 0 for x in row] for row in dense]
+            det = cofactor_det(rows)
+            if det in (1, -1):
+                continue
+            with pytest.raises(NotUnimodular, match=rf"^det\(P\) = {det}$"):
+                congruence(G, IntMatrix.from_rows(rows))
 
     @settings(max_examples=60, deadline=None)
     @given(sym_matrices(), st.integers(min_value=0, max_value=2**32 - 1))
@@ -377,3 +394,70 @@ class TestDiagonalization:
         sig = inertia(G)
         assert sum(1 for d in diag if d > 0) == sig.n_plus
         assert sum(1 for d in diag if d < 0) == sig.n_minus
+
+
+def _zero_diagonal(rng, n):
+    # but for two entries in the second half: a pivot is swapped in from
+    # past the band (the envelopes widen), later ones from stale rows
+    rows = random_banded_sym(rng, n, rng.randint(1, 4), diagonal=False)
+    for i in rng.sample(range(n // 2, n), 2):
+        rows[i][i] = rng.choice((-1, 1)) * rng.randint(2, 5)
+    return rows
+
+
+def _trailing_zero_diagonal(rng, n):
+    # the second block is not touched while the first is eliminated, so its
+    # rows are stale when its all-zero diagonal forces an add-into
+    k = rng.randint(2, n // 2)
+    return direct_sum(random_banded_sym(rng, n - k, 2, True), random_banded_sym(rng, k, 2, False))
+
+
+def _bubbling_zero_row(rng, n):
+    # a zero row and column first: each pivot swaps it further down, never updated
+    return direct_sum([[0]], random_banded_sym(rng, n - 1, 3, True))
+
+
+def _early_stop(rng, n):
+    # [[A, AC], [C^T A, C^T A C]] has rank at most m < n: the last rows
+    # end zero, some of them stale since an earlier pivot
+    m = rng.randint(n // 2, n - 2)
+    A = random_banded_sym(rng, m, 2, True)
+    k = n - m
+    C = [
+        [rng.randint(-1, 1) if i >= m - 4 and rng.random() < 0.5 else 0 for _ in range(k)]
+        for i in range(m)
+    ]
+    AC = [[sum(A[i][t] * C[t][j] for t in range(m)) for j in range(k)] for i in range(m)]
+    CtAC = [[sum(C[t][i] * AC[t][j] for t in range(m)) for j in range(k)] for i in range(k)]
+    CtA = [[AC[t][i] for t in range(m)] for i in range(k)]
+    return [A[i] + AC[i] for i in range(m)] + [CtA[i] + CtAC[i] for i in range(k)]
+
+
+def _rational(rng, n):
+    # the elimination runs on the lift 6G
+    return [[Fraction(x, 6) for x in row] for row in _zero_diagonal(rng, n)]
+
+
+SPARSE_KINDS = {
+    "zero_diagonal": _zero_diagonal,
+    "trailing_zero_diagonal": _trailing_zero_diagonal,
+    "bubbling_zero_row": _bubbling_zero_row,
+    "early_stop": _early_stop,
+    "rational": _rational,
+}
+
+
+class TestSparseElimination:
+    """The lazily rescaled, envelope-bounded elimination on seeded sparse
+    banded matrices of n 10-40, against the Fraction elimination; (D, L)
+    also checks the carried identity columns of every row."""
+
+    @pytest.mark.parametrize("kind", sorted(SPARSE_KINDS))
+    def test_against_fraction_elimination(self, kind):
+        rng = random.Random(f"sparse:{kind}")
+        for _ in range(5):
+            G = SymMatrix.from_rows(SPARSE_KINDS[kind](rng, rng.randint(10, 40)))
+            diagonalization, signs, det = elimination_invariants(G)
+            assert diagonalizing_congruence(G) == diagonalization
+            assert determinant(G) == det
+            assert inertia_and_abs_det(G) == (Inertia(*signs), abs(det))

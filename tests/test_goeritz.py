@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinkeq import Diagram, SymMatrix, goeritz_matrix, parse_diagram
+from kinkeq import Diagram, SymMatrix, determinant, goeritz_matrix, parse_diagram
 from kinkeq.errors import ParseError, RegionOutOfRange, SelfPairedCrossing
+from kinkeq.exact import Inertia, inertia_and_abs_det
+
+from oracles import elimination_invariants
 
 FIGURE_DATA = "regions 4\n0 1 +\n1 2 +\n0 2 +\n0 2 +\n2 3 +\n0 3 +\n0 3 +\n"
 TREFOIL_DARK = "regions 2\n0 1 +\n0 1 +\n0 1 +\n"
@@ -87,6 +90,28 @@ class TestGoeritzMatrix:
         for i in range(n - 1):
             for j in range(n - 1):
                 assert H[mapping[i + 1] - 1, mapping[j + 1] - 1] == G[i, j]
+
+
+class TestLargeGoeritz:
+    def test_invariants_against_fraction_elimination(self):
+        # 150 regions, nullity 3: zero rows bubble down through most pivots
+        G = goeritz_matrix(_grid_diagram(random.Random(2), 150))
+        _, signs, det = elimination_invariants(G)
+        assert signs == (77, 69, 3)
+        assert inertia_and_abs_det(G) == (Inertia(*signs), abs(det))
+        assert determinant(G) == det
+
+
+def _grid_diagram(rng: random.Random, count: int) -> Diagram:
+    """A planar checkerboard graph: regions on a grid, crossings between
+    grid neighbours, some of them doubled, with random signs."""
+    width = round(count**0.5)
+    crossings = []
+    for r in range(count):
+        for j in (r + 1, r + width):
+            if j < count and (j == r + width or j % width) and rng.random() < 0.85:
+                crossings += [(r, j, rng.choice((1, -1)))] * rng.choice((1, 1, 2))
+    return Diagram(count, tuple(crossings))
 
 
 def _random_diagram(rng: random.Random) -> Diagram:

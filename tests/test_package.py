@@ -93,6 +93,41 @@ def test_traced_layers_exist():
     assert layers and not missing, missing
 
 
+def _is_bareiss_update(node):
+    """``(x * y - z * w) // d``: one fraction-free elimination update."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.FloorDiv)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Sub)
+        and all(
+            isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+            for side in (node.left.left, node.left.right)
+        )
+    )
+
+
+def test_one_bareiss_loop():
+    """``_eliminate`` and ``_det_int`` both run ``_bareiss_step``, and it is
+    the only function in ``exact`` that loops a Bareiss update, so a second
+    copy of the elimination cannot come back unnoticed."""
+    tree = ast.parse((ROOT / "src" / "kinkeq" / "exact.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    looping = {
+        name
+        for name, function in functions.items()
+        for loop in ast.walk(function)
+        if isinstance(loop, loops) and any(map(_is_bareiss_update, ast.walk(loop)))
+    }
+    assert looping == {"_bareiss_step"}, looping
+    for caller in ("_eliminate", "_det_int"):
+        assert any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_bareiss_step"
+            for node in ast.walk(functions[caller])
+        ), caller
+
+
 def test_numbers_read_only_in_formats():
     """``goeritz`` and ``cli`` read numbers with the readers in ``formats``,
     so the token grammar lives there alone: neither calls ``int`` or
