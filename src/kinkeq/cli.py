@@ -11,10 +11,9 @@ import sys
 from functools import cache
 
 from .cct import cct_search, icct_trace, reduce_binary_form, reduced_gram_factor
-from .errors import InvalidTrace, KinkEqError
-from .exact import determinant, inertia
+from .errors import InvalidTrace, KinkEqError, NotUnimodularForm
+from .exact import SymMatrix, determinant, inertia, inertia_and_abs_det
 from .formats import (
-    blowup_report,
     parse_int_matrix,
     parse_matrix,
     parse_quadratic_form,
@@ -25,7 +24,7 @@ from .formats import (
     serialize_trace,
 )
 from .goeritz import goeritz_matrix, parse_diagram
-from .moves import trace_stats, verify_trace
+from .moves import count_moves, trace_stats, verify_trace
 from .reducer import (
     NEG_DEFINITE,
     NEG_SEMIDEFINITE,
@@ -98,6 +97,41 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("file")
 
     return parser
+
+
+def blowup_report(G: SymMatrix) -> str:
+    """Arithmetic stabilization report for a unimodular symmetric form.
+
+    States how many stabilizations of each sign make the form congruent to
+    a definite form plus identity blocks, and attaches the verifying traces
+    produced by ``reduce`` for both targets.
+    """
+    sig, abs_det = inertia_and_abs_det(G) if G.is_integral() else (None, None)
+    if abs_det != 1:
+        raise NotUnimodularForm("report requires an integer matrix with determinant +1 or -1")
+    n_plus, n_minus = sig.n_plus, sig.n_minus
+    trace_neg = reduce(G, NEG_DEFINITE)
+    trace_pos = reduce(G, POS_DEFINITE)
+    neg_kinks = count_moves(trace_neg.moves).neg_kinks
+    pos_kinks = count_moves(trace_pos.moves).pos_kinks
+    lines = [
+        "blow-up arithmetic report",
+        f"size n = {G.n}, inertia (n+, n-, n0) = ({n_plus}, {n_minus}, {sig.n_zero}), "
+        f"signature = {sig.signature}",
+        "",
+        f"claim 1: G (+) -I_{4 * n_plus} is congruent to (negative-definite) (+) I_{n_plus}",
+        f"  witness: trace to a negative-definite matrix of size {trace_neg.end.n} "
+        f"using {neg_kinks} negative kinks (bound {4 * n_plus}) and {n_plus} positive unkinks",
+        f"claim 2: G (+) I_{4 * n_minus} is congruent to (positive-definite) (+) -I_{n_minus}",
+        f"  witness: trace to a positive-definite matrix of size {trace_pos.end.n} "
+        f"using {pos_kinks} positive kinks (bound {4 * n_minus}) and {n_minus} negative unkinks",
+        "",
+        "--- trace (target neg_definite) ---",
+        serialize_trace(trace_neg).rstrip("\n"),
+        "--- trace (target pos_definite) ---",
+        serialize_trace(trace_pos).rstrip("\n"),
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _run(args: argparse.Namespace) -> int:

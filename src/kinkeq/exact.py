@@ -539,15 +539,6 @@ def primitive_scale(u: Sequence) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def evaluate_form(G: SymMatrix, v: Sequence) -> Fraction:
-    """The quadratic value v^T G v."""
-    if len(v) != G.n:
-        raise SizeMismatch("vector length does not match matrix size")
-    vv = [Fraction(x) for x in v]
-    value = sum(vv[i] * G.rows[i][j] * vv[j] for i in range(G.n) for j in range(G.n))
-    return Fraction(value, G.den)
-
-
 def require_integral(G: SymMatrix) -> None:
     if not G.is_integral():
         raise NotIntegerMatrix("matrix has non-integer entries")

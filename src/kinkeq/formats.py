@@ -1,4 +1,4 @@
-"""Text formats: matrices, traces, quadratic forms, and the blow-up report.
+"""Text formats: matrices, integer matrices, traces and quadratic forms.
 
 All numbers are exact ("p" or "p/q" in ASCII digits, read by ``read_rows``)
 and output is deterministic, so every format round-trips bit-exactly.
@@ -14,14 +14,12 @@ from .errors import (
     BadRational,
     DegreeError,
     NotSymmetric,
-    NotUnimodularForm,
     ParseError,
     SizeMismatch,
     UnknownVariable,
 )
-from .exact import IntMatrix, SymMatrix, inertia_and_abs_det
-from .moves import Congruence, Kink, Move, Trace, Unkink, count_moves
-from .reducer import NEG_DEFINITE, POS_DEFINITE, reduce
+from .exact import IntMatrix, SymMatrix
+from .moves import Congruence, Kink, Move, Trace, Unkink
 
 _NUMBER_RE = re.compile("[+-]?[0-9]+(/[0-9]+)?")
 
@@ -191,8 +189,8 @@ def parse_trace(text: str) -> Trace:
     for no, line in lines[2:]:
         if end is not None:
             raise ParseError("content after the 'end' line", line=no)
-        keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
+        keyword = line.split(None, 1)[0]
+        rest = line[len(keyword):].strip()
         if keyword == "congr":
             try:
                 moves.append(Congruence(IntMatrix.from_rows(read_rows(rest, no, True))))
@@ -263,37 +261,3 @@ def parse_quadratic_form(text: str) -> SymMatrix:
         rows[i][j] = rows[j][i] = c
     return SymMatrix.from_rows(rows)
 
-
-def blowup_report(G: SymMatrix) -> str:
-    """Arithmetic stabilization report for a unimodular symmetric form.
-
-    States how many stabilizations of each sign make the form congruent to
-    a definite form plus identity blocks, and attaches the verifying traces
-    produced by ``reduce`` for both targets.
-    """
-    sig, abs_det = inertia_and_abs_det(G) if G.is_integral() else (None, None)
-    if abs_det != 1:
-        raise NotUnimodularForm("report requires an integer matrix with determinant +1 or -1")
-    n_plus, n_minus = sig.n_plus, sig.n_minus
-    trace_neg = reduce(G, NEG_DEFINITE)
-    trace_pos = reduce(G, POS_DEFINITE)
-    neg_kinks = count_moves(trace_neg.moves).neg_kinks
-    pos_kinks = count_moves(trace_pos.moves).pos_kinks
-    lines = [
-        "blow-up arithmetic report",
-        f"size n = {G.n}, inertia (n+, n-, n0) = ({n_plus}, {n_minus}, {sig.n_zero}), "
-        f"signature = {sig.signature}",
-        "",
-        f"claim 1: G (+) -I_{4 * n_plus} is congruent to (negative-definite) (+) I_{n_plus}",
-        f"  witness: trace to a negative-definite matrix of size {trace_neg.end.n} "
-        f"using {neg_kinks} negative kinks (bound {4 * n_plus}) and {n_plus} positive unkinks",
-        f"claim 2: G (+) I_{4 * n_minus} is congruent to (positive-definite) (+) -I_{n_minus}",
-        f"  witness: trace to a positive-definite matrix of size {trace_pos.end.n} "
-        f"using {pos_kinks} positive kinks (bound {4 * n_minus}) and {n_minus} negative unkinks",
-        "",
-        "--- trace (target neg_definite) ---",
-        serialize_trace(trace_neg).rstrip("\n"),
-        "--- trace (target pos_definite) ---",
-        serialize_trace(trace_pos).rstrip("\n"),
-    ]
-    return "\n".join(lines) + "\n"

@@ -35,7 +35,6 @@ from .exact import (
     extend_primitive,
     inertia,
     primitive_scale,
-    require_integral,
 )
 from .moves import Congruence, Kink, Move, Trace, Unkink, count_moves, replay
 
@@ -202,12 +201,6 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
         play(Congruence(IntMatrix.rotation(n, 1)))
     play(Unkink(1))
     return G, moves
-
-
-def eliminate_positive(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
-    """One elimination round on an integer matrix with n_plus >= 1."""
-    require_integral(G)
-    return _elimination_round(G)
 
 
 def _flip(move: Move) -> Move:

@@ -8,7 +8,6 @@ strips the trailing coordinate.
 
 from __future__ import annotations
 
-from .errors import InternalError
 from .exact import IntMatrix, SymMatrix
 from .moves import Congruence, Kink, Move, Trace, Unkink, replay
 
@@ -39,8 +38,8 @@ def five_to_minus_five_trace() -> Trace:
     start = SymMatrix.from_rows([[5]])
     moves: list[Move] = [
         Kink(-1),
-        _congr([[1, 2], [0, 1]]),      # diag(5,-1) -> [[1,-2],[-2,-1]]
-        _congr([[-2, -1], [-1, 0]]),   # -> diag(-5, 1)
+        Congruence(IntMatrix.shear(2, {(0, 1): 2})),  # diag(5,-1) -> [[1,-2],[-2,-1]]
+        _congr([[-2, -1], [-1, 0]]),                  # -> diag(-5, 1)
         Unkink(1),
     ]
     return _finish(start, moves)
@@ -61,29 +60,12 @@ def obstructed_matrix_reduction_trace() -> Trace:
     moves.append(Unkink(1))
     # stage 3: block-clear a 3x3 identity corner, swap blocks, triple unkink
     c6 = [[1, 1, 1], [0, 1, 1], [1, 1, 1]]
-    block_clear = [
-        [1, 0, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0],
-        [-1, -1, -1, 1, 0, 0],
-        [0, -1, -1, 0, 1, 0],
-        [-1, -1, -1, 0, 0, 1],
-    ]
-    if [[-row[j] for j in range(3)] for row in block_clear[3:]] != c6:
-        raise InternalError("block_clear does not encode -C6")
-    moves.append(_congr(block_clear))
-    block_swap = [
-        [0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 0, 1],
-        [1, 0, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0],
-    ]
-    moves.append(_congr(block_swap))
+    block_clear = {(3 + i, j): -c for i, row in enumerate(c6) for j, c in enumerate(row)}
+    moves.append(Congruence(IntMatrix.shear(6, block_clear)))
+    moves.append(Congruence(IntMatrix.rotation(6, 3)))
     moves.extend([Unkink(1), Unkink(1), Unkink(1)])
     # stage 4: shear a unit into the corner, transpose the top pair
-    moves.append(_congr([[1, 0, 0], [-1, 1, 0], [-3, 0, 1]]))
+    moves.append(Congruence(IntMatrix.shear(3, {(1, 0): -1, (2, 0): -3})))
     moves.append(_congr([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
     # stage 5: clear, rotate, unkink
     v7 = [0, 1]
@@ -91,10 +73,10 @@ def obstructed_matrix_reduction_trace() -> Trace:
     moves.append(Congruence(IntMatrix.rotation(3, 1)))
     moves.append(Unkink(1))
     # stage 6: swap to put 3 in the corner, add a negative kink
-    moves.append(_congr([[0, 1], [1, 0]]))
+    moves.append(Congruence(IntMatrix.rotation(2, 1)))
     moves.append(Kink(-1))
     # stage 7: fold both negative kinks into the corner
-    moves.append(_congr([[1, 1, 1], [0, 1, 0], [0, 0, 1]]))
+    moves.append(Congruence(IntMatrix.shear(3, {(0, 1): 1, (0, 2): 1})))
     # stage 8: clear, rotate, final unkink
     v11 = [-1, -1]
     moves.append(Congruence(IntMatrix.shear(3, {(i, 0): -x for i, x in enumerate(v11, 1)})))

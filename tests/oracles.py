@@ -57,6 +57,14 @@ def congruence_oracle(G: SymMatrix, P: IntMatrix) -> SymMatrix:
     )
 
 
+def quadratic_value(G: SymMatrix, v) -> Fraction:
+    """v^T G v as the double sum over G's Fraction entries."""
+    return sum(
+        (Fraction(v[i]) * G.entries[i][j] * v[j] for i in range(G.n) for j in range(G.n)),
+        Fraction(0),
+    )
+
+
 def diagonalizing_congruence_oracle(G: SymMatrix):
     """(D, L) with L G L^T = diag(D) by symmetric Gaussian elimination in
     Fractions, with the package's pivot choice: a later nonzero diagonal

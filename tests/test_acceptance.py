@@ -32,7 +32,8 @@ from kinkeq import (
     trace_stats,
     verify_trace,
 )
-from kinkeq.formats import blowup_report, parse_trace
+from kinkeq.cli import blowup_report
+from kinkeq.formats import parse_trace
 from kinkeq.worked_examples import (
     OBSTRUCTED_GRAM_MATRIX,
     five_to_minus_five_trace,

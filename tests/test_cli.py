@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+from fractions import Fraction
+
 import pytest
 
-from kinkeq.cli import main
+from kinkeq.cli import blowup_report, main
+from kinkeq.errors import NotUnimodularForm
 from kinkeq.formats import parse_trace, serialize_matrix, serialize_trace
-from kinkeq import SymMatrix, verify_trace
+from kinkeq import SymMatrix, inertia, verify_trace
 from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX, five_to_minus_five_trace
 
 
@@ -177,6 +180,79 @@ def test_report_blowup(matrix_file, capsys):
 def test_report_blowup_non_unimodular_exit_2(matrix_file, capsys):
     path = matrix_file("g.sym", "sym 1\n2\n")
     assert main(["report", "blowup", path]) == 2
+
+
+REPORT_BLOWUP_HYPERBOLIC = (
+    "blow-up arithmetic report\n"
+    "size n = 2, inertia (n+, n-, n0) = (1, 1, 0), signature = 0\n"
+    "\n"
+    "claim 1: G (+) -I_4 is congruent to (negative-definite) (+) I_1\n"
+    "  witness: trace to a negative-definite matrix of size 2 "
+    "using 1 negative kinks (bound 4) and 1 positive unkinks\n"
+    "claim 2: G (+) I_4 is congruent to (positive-definite) (+) -I_1\n"
+    "  witness: trace to a positive-definite matrix of size 2 "
+    "using 1 positive kinks (bound 4) and 1 negative unkinks\n"
+    "\n"
+    "--- trace (target neg_definite) ---\n"
+    "trace\n"
+    "0 1;1 0\n"
+    "congr 1 1;-1 0\n"
+    "kink -1\n"
+    "congr 1 0 1;0 1 0;0 0 1\n"
+    "congr 1 0 0;1 1 0;1 0 1\n"
+    "congr 0 1 0;0 0 1;1 0 0\n"
+    "unkink +1\n"
+    "end -1 -1;-1 -2\n"
+    "--- trace (target pos_definite) ---\n"
+    "trace\n"
+    "0 1;1 0\n"
+    "congr 1 -1;1 0\n"
+    "kink +1\n"
+    "congr 1 0 1;0 1 0;0 0 1\n"
+    "congr 1 0 0;-1 1 0;1 0 1\n"
+    "congr 0 1 0;0 0 1;1 0 0\n"
+    "unkink -1\n"
+    "end 1 -1;-1 2\n"
+)
+
+
+def test_report_blowup_golden(matrix_file, capsys):
+    """The whole report on the hyperbolic plane, byte for byte."""
+    path = matrix_file("h.sym", "sym 2\n0 1\n1 0\n")
+    assert main(["report", "blowup", path]) == 0
+    assert capsys.readouterr().out == REPORT_BLOWUP_HYPERBOLIC
+
+
+class TestBlowupReport:
+    def test_scalar(self):
+        report = blowup_report(SymMatrix.from_rows([[1]]))
+        assert "inertia (n+, n-, n0) = (1, 0, 0)" in report
+        assert "-I_4" in report and "I_0" in report
+
+    def test_indefinite_diag(self):
+        report = blowup_report(SymMatrix.diagonal([1, -1]))
+        assert "(1, 1, 0)" in report
+
+    def test_hyperbolic(self):
+        report = blowup_report(SymMatrix.from_rows([[0, 1], [1, 0]]))
+        assert "(1, 1, 0)" in report and "signature = 0" in report
+
+    def test_rejects_non_unimodular(self):
+        with pytest.raises(NotUnimodularForm):
+            blowup_report(SymMatrix.from_rows([[2]]))
+        with pytest.raises(NotUnimodularForm):
+            blowup_report(SymMatrix.from_rows([[Fraction(1, 2)]]))
+
+    def test_embedded_traces_verify(self):
+        report = blowup_report(SymMatrix.from_rows([[0, 1], [1, 0]]))
+        sections = report.split("--- trace (target ")
+        assert len(sections) == 3
+        for section in sections[1:]:
+            _, _, body = section.partition("---\n")
+            trace = parse_trace(body)
+            assert verify_trace(trace).valid
+        neg_trace = parse_trace(sections[1].partition("---\n")[2])
+        assert inertia(neg_trace.end).n_plus == 0
 
 
 def test_parse_error_exit_2(matrix_file, capsys):

@@ -36,6 +36,52 @@ def test_no_private_cross_module_imports():
     assert MODULES and not found
 
 
+LAYERS = [
+    {"errors"},
+    {"exact"},
+    {"moves"},
+    {"formats"},
+    {"reducer", "cct", "goeritz", "worked_examples"},
+    {"cli"},
+]
+
+
+def _package_imports(tree):
+    """The kinkeq modules that a module's source imports from, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 1 and node.module:
+                yield parts[0]
+            elif node.level == 1 or parts == ["kinkeq"]:
+                yield from (alias.name for alias in node.names)
+            elif parts[0] == "kinkeq":
+                yield parts[1]
+        elif isinstance(node, ast.Import):
+            yield from (
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("kinkeq.")
+            )
+
+
+def test_import_layers():
+    """Each module imports only from a strictly earlier layer of ``LAYERS``,
+    so text formats never reach the reducer and nothing reaches the CLI;
+    ``__init__`` re-exports and is exempt."""
+    layer = {name: depth for depth, names in enumerate(LAYERS) for name in names}
+    stems = {path.stem for path in MODULES} - {"__init__"}
+    assert stems == set(layer), stems ^ set(layer)
+    found = [
+        f"{path.stem} -> {imported}"
+        for path in MODULES
+        if path.stem != "__init__"
+        for imported in _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if layer.get(imported, len(LAYERS)) >= layer[path.stem]
+    ]
+    assert not found, found
+
+
 def test_moves_applied_in_one_place():
     """Only ``exact`` (the kernels) and ``moves`` (``apply_move``) know how a
     move acts on a matrix; ``__init__`` may re-export ``congruence``."""

@@ -20,12 +20,12 @@ from kinkeq import (
     Unkink,
     count_moves,
     determinant,
-    eliminate_positive,
     find_positive_vector,
     four_squares,
     inertia,
     integralize_first_row,
     reduce,
+    replay,
     verify_trace,
 )
 from kinkeq.errors import (
@@ -34,10 +34,9 @@ from kinkeq.errors import (
     NoPositiveEigenvalue,
     SingularForDefiniteTarget,
 )
-from kinkeq.exact import evaluate_form
 from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX
 
-from oracles import random_sym, random_sym_rational
+from oracles import quadratic_value, random_sym, random_sym_rational
 
 
 class TestFourSquares:
@@ -69,7 +68,7 @@ class TestFindPositiveVector:
         G = SymMatrix.from_rows([[0, 1], [1, 0]])
         b = find_positive_vector(G)
         assert b == (1, 1)
-        assert evaluate_form(G, b) == 2
+        assert quadratic_value(G, b) == 2
 
     def test_rejects_nonpositive(self):
         with pytest.raises(NoPositiveEigenvalue):
@@ -91,7 +90,7 @@ class TestFindPositiveVector:
         for x in b:
             g = gcd(g, x)
         assert g == 1
-        assert evaluate_form(G, b) >= 1
+        assert quadratic_value(G, b) >= 1
 
 
 class TestIntegralizeFirstRow:
@@ -123,28 +122,57 @@ class TestIntegralizeFirstRow:
             integralize_first_row(SymMatrix.empty())
 
 
+def _rounds(G):
+    """The elimination rounds of ``reduce(G, NEG_SEMIDEFINITE)``: its moves
+    split after each ``Unkink(1)``, each replayed from where the last one
+    ended, as (start, moves, end); the last end is the trace's end."""
+    trace = reduce(G, NEG_SEMIDEFINITE)
+    rounds, current, moves = [], G, []
+    for move in trace.moves:
+        moves.append(move)
+        if move == Unkink(1):
+            end = replay(current, moves)
+            rounds.append((current, moves, end))
+            current, moves = end, []
+    assert moves == [] and current == trace.end
+    return rounds
+
+
+def _check_rounds(G):
+    """One round per positive eigenvalue; each drops n_plus by exactly one,
+    uses at most 4 negative kinks (5 for rational input) and ends in its
+    only unkink, an ``Unkink(1)``."""
+    rounds = _rounds(G)
+    assert len(rounds) == inertia(G).n_plus
+    budget = 4 if G.is_integral() else 5
+    for start, moves, end in rounds:
+        before, after = inertia(start), inertia(end)
+        assert after.n_plus == before.n_plus - 1
+        assert after.n_zero == before.n_zero
+        neg_kinks = count_moves(moves).neg_kinks
+        assert neg_kinks <= budget
+        assert after.n_minus == before.n_minus + neg_kinks
+        assert [m for m in moves if isinstance(m, Unkink)] == [Unkink(1)] == moves[-1:]
+    return rounds
+
+
 class TestEliminatePositive:
+    """The rounds that ``reduce`` strings together, one per positive
+    eigenvalue."""
+
     def test_unit_corner(self):
-        out, moves = eliminate_positive(SymMatrix.from_rows([[1]]))
-        assert out == SymMatrix.empty()
-        assert moves == [Unkink(1)]
+        G = SymMatrix.from_rows([[1]])
+        assert _check_rounds(G) == [(G, [Unkink(1)], SymMatrix.empty())]
 
     def test_two_to_minus_two(self):
-        G = SymMatrix.from_rows([[2]])
-        out, moves = eliminate_positive(G)
+        [(_, moves, out)] = _check_rounds(SymMatrix.from_rows([[2]]))
         assert out == SymMatrix.from_rows([[-2]])
         stats = count_moves(moves)
         assert stats.pos_kinks + stats.neg_kinks == 1
         assert stats.pos_unkinks + stats.neg_unkinks == 1
-        current = G
-        from kinkeq import apply_move
-
-        for m in moves:
-            current = apply_move(current, m)
-        assert current == out
 
     def test_obstructed_matrix_first_round(self):
-        out, moves = eliminate_positive(OBSTRUCTED_GRAM_MATRIX)
+        _, moves, out = _check_rounds(OBSTRUCTED_GRAM_MATRIX)[0]
         sig = inertia(out)
         assert (sig.n_plus, sig.n_minus, sig.n_zero) == (5, 1, 0)
         stats = count_moves(moves)
@@ -154,18 +182,8 @@ class TestEliminatePositive:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_drops_n_plus_by_one(self, seed):
         rng = random.Random(seed)
-        G = random_sym(rng, rng.randint(1, 4), 4)
-        before = inertia(G)
-        if before.n_plus == 0:
-            return
-        out, moves = eliminate_positive(G)
-        after = inertia(out)
-        assert after.n_plus == before.n_plus - 1
-        assert after.n_zero == before.n_zero
-        neg_kinks = count_moves(moves).neg_kinks
-        assert neg_kinks <= 4
-        assert after.n_minus == before.n_minus + neg_kinks
-        assert [m for m in moves if isinstance(m, Unkink)] == [Unkink(1)]
+        _check_rounds(random_sym(rng, rng.randint(1, 4), 4))
+        _check_rounds(random_sym_rational(rng, rng.randint(1, 4), 4, 4))
 
 
 class TestReduce:
