@@ -22,6 +22,7 @@ from .formats import (
     serialize_int_matrix,
     serialize_matrix,
     serialize_trace,
+    write_number,
 )
 from .goeritz import goeritz_matrix, parse_diagram
 from .moves import count_moves, trace_stats, verify_trace
@@ -139,7 +140,7 @@ def _run(args: argparse.Namespace) -> int:
         sig = inertia(parse_matrix(_read(args.file)))
         print(f"{sig.n_plus} {sig.n_minus} {sig.n_zero}")
     elif args.command == "det":
-        print(determinant(parse_matrix(_read(args.file))))
+        print(write_number(determinant(parse_matrix(_read(args.file)))))
     elif args.command == "reduce":
         trace = reduce(parse_matrix(_read(args.file)), _TARGET_NAMES[args.target])
         text = serialize_trace(trace)
@@ -156,7 +157,7 @@ def _run(args: argparse.Namespace) -> int:
             last = report.steps[-1]
             print(
                 f"valid: {len(report.steps) - 1} moves, end size {last.size}, "
-                f"|det| = {last.abs_det}, nullity = {last.inertia.n_zero}"
+                f"|det| = {write_number(last.abs_det)}, nullity = {last.inertia.n_zero}"
             )
         else:
             print(f"INVALID at step {report.failed_step}: {report.reason}")

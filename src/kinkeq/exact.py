@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import gcd, lcm
 from operator import index
 from typing import Iterable, Mapping, Sequence
@@ -148,15 +148,26 @@ class SymMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "SymMatrix":
-        data = [list(row) for row in rows]
-        bad = [x for row in data for x in row if not isinstance(x, (int, Fraction))]
-        if bad:
-            raise BadRational(f"entries must be int or Fraction, got {type(bad[0]).__name__}")
+        """The matrix of int or Fraction entries ``rows``.
+
+        When every entry has type exactly ``int``, the rows are the lift
+        with den 1.  Any other entry (a Fraction, a bool, or a type refused
+        with ``BadRational``) sends the rows down the general path, which
+        lifts each entry from its numerator and denominator.  Both paths
+        check squareness and symmetry alike.
+        """
+        data = tuple(map(tuple, rows))
         n = len(data)
+        if set(map(type, chain.from_iterable(data))) <= {int}:
+            den, lift = 1, data
+        else:
+            bad = [x for row in data for x in row if not isinstance(x, (int, Fraction))]
+            if bad:
+                raise BadRational(f"entries must be int or Fraction, got {type(bad[0]).__name__}")
+            den = lcm(*{x.denominator for row in data for x in row})
+            lift = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
         if any(len(row) != n for row in data):
             raise SizeMismatch("matrix is not square")
-        den = lcm(*{x.denominator for row in data for x in row})
-        lift = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
         if tuple(zip(*lift)) != lift:
             i, j = next((i, j) for i in range(n) for j in range(i) if lift[i][j] != lift[j][i])
             raise SizeMismatch(f"entries ({i},{j}) and ({j},{i}) differ")

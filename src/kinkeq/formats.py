@@ -1,7 +1,8 @@
 """Text formats: matrices, integer matrices, traces and quadratic forms.
 
-All numbers are exact ("p" or "p/q" in ASCII digits, read by ``read_rows``)
-and output is deterministic, so every format round-trips bit-exactly.
+All numbers are exact ("p" or "p/q" in ASCII digits, read by ``read_rows``
+and written at any length) and output is deterministic, so every format
+round-trips bit-exactly while its numbers are within the readers' limit.
 """
 
 from __future__ import annotations
@@ -30,13 +31,16 @@ def read_rows(text: str, line: int | None, integers: bool) -> list[list[int | Fr
 
     On ASCII text without "_", ``int`` and ``Fraction`` accept exactly the
     tokens of ``_NUMBER_RE``, so the bad token is looked for only when a
-    conversion fails."""
+    conversion fails.  A row with no "/" is read by ``int`` alone; every
+    other row is read token by token."""
     if text == "empty":
         return []
     if text.isascii() and "_" not in text and not (integers and "/" in text):
         try:
             return [
-                [int(t) if "/" not in t else Fraction(t) for t in row.split()]
+                list(map(int, row.split()))
+                if "/" not in row
+                else [int(t) if "/" not in t else Fraction(t) for t in row.split()]
                 for row in text.split(";")
             ]
         except (ValueError, ZeroDivisionError):
@@ -127,8 +131,30 @@ def parse_matrix(text: str) -> SymMatrix:
     return _symmetric(_read_table(text, "sym N", False)[1], None)
 
 
+def write_number(x: int | Fraction) -> str:
+    """``str(x)`` of any length: "p" or "p/q", the mirror of ``read_number``."""
+    text = _write_long(x.numerator)
+    return text if x.denominator == 1 else f"{text}/{_write_long(x.denominator)}"
+
+
+def _write_long(x: int) -> str:
+    """The decimal digits of x, split at a power of ten into halves until
+    each is short enough for ``str`` (640 digits, the least limit CPython
+    allows); the low half is zero-padded to its k digits."""
+    if x < 0:
+        return "-" + _write_long(-x)
+    if x.bit_length() <= 2000:  # at most 603 digits
+        return str(x)
+    k = x.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(x, 10**k)
+    return _write_long(high) + _write_long(low).zfill(k)
+
+
 def _write_row(row) -> str:
-    return " ".join(map(str, row))
+    try:
+        return " ".join(map(str, row))
+    except ValueError:  # an entry past the int string-conversion limit
+        return " ".join(map(write_number, row))
 
 
 def _write_table(header: str, rows) -> str:

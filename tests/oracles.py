@@ -228,3 +228,15 @@ def random_banded_sym(rng: random.Random, n: int, band: int, diagonal: bool) -> 
 def direct_sum(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """Rows of the block-diagonal matrix diag(a, b)."""
     return [row + [0] * len(b) for row in a] + [[0] * len(a) + row for row in b]
+
+
+def decimal_value(text: str) -> int:
+    """The integer written in ``text`` ("-" and decimal digits), read in
+    chunks of at most 4000 digits, so numbers past CPython's int
+    string-conversion limit are read without changing it."""
+    digits = text.lstrip("-")
+    value = 0
+    for i in range(0, len(digits), 4000):
+        chunk = digits[i : i + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from kinkeq.errors import NotUnimodularForm
 from kinkeq.formats import parse_trace, serialize_matrix, serialize_trace
 from kinkeq import SymMatrix, inertia, verify_trace
 from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX, five_to_minus_five_trace
+
+from oracles import decimal_value
 
 
 @pytest.fixture
@@ -293,6 +296,25 @@ def test_number_past_int_conversion_limit_exit_2(matrix_file, capsys, argv, text
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "too long" in err
     assert err.count("\n") == 1
+
+
+# two 3000-digit entries, each readable; their product has 6000 digits
+A = "1" + "0" * 2994 + "12345"
+B = "3" * 3000
+
+
+def test_det_past_int_conversion_limit(matrix_file, capsys):
+    path = matrix_file("big.sym", f"sym 2\n{A} 0\n0 -{B}\n")
+    assert main(["det", path]) == 0
+    assert decimal_value(capsys.readouterr().out.strip()) == -int(A) * int(B)
+
+
+def test_verify_past_int_conversion_limit(matrix_file, capsys):
+    path = matrix_file("big.trace", f"trace\n{A} 0;0 {B}\nend {A} 0;0 {B}\n")
+    assert main(["verify", path]) == 0
+    out = capsys.readouterr().out.strip()
+    match = re.fullmatch(r"valid: 0 moves, end size 2, \|det\| = ([0-9]+), nullity = 0", out)
+    assert match and decimal_value(match[1]) == int(A) * int(B)
 
 
 def test_unexpected_exception_exit_2(matrix_file, capsys, monkeypatch):

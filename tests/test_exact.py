@@ -277,6 +277,58 @@ class TestSymMatrixEntries:
         assert G == SymMatrix.diagonal([2, Fraction(-1, 3)])
 
 
+class TestFromRowsIntegerPath:
+    """All-``int`` rows skip the rational lift; one ``Fraction`` entry sends
+    the same rows down the general path, which must agree."""
+
+    @staticmethod
+    def int_rows(rng, n):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-(2**70), 2**70) >> rng.randrange(71)
+        return rows
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_equals_general_path(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            rows = self.int_rows(rng, n)
+            G = SymMatrix.from_rows(rows)
+            assert G.den == 1
+            assert all(type(x) is int for row in G.rows for x in row)
+            assert SymMatrix.from_rows(tuple(row) for row in rows) == G
+            if n:
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows[i][j] = Fraction(rows[i][j])
+                H = SymMatrix.from_rows(rows)
+                assert (H.den, H.rows) == (G.den, G.rows)
+
+    def test_bool_entries_are_stored_as_int(self):
+        for rows, lift in [([[True]], ((1,),)), ([[False, True], [1, 2]], ((0, 1), (1, 2)))]:
+            G = SymMatrix.from_rows(rows)
+            assert (G.den, G.rows) == (1, lift)
+            assert all(type(x) is int for row in G.rows for x in row)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, 2]], "matrix is not square"),
+            ([[1], [2, 3]], "matrix is not square"),
+            ([[1, 2], [3, 4]], "entries (1,0) and (0,1) differ"),
+            ([[1, 0, 5], [0, 1, 0], [6, 0, 1]], "entries (2,0) and (0,2) differ"),
+            ([[1, 0, 0], [0, 1, 7], [0, 8, 1]], "entries (2,1) and (1,2) differ"),
+        ],
+    )
+    def test_refusals_match_general_path(self, rows, message):
+        general = [list(row) for row in rows]
+        general[0][0] = Fraction(general[0][0])
+        for given_rows in (rows, general):
+            with pytest.raises(SizeMismatch) as exc:
+                SymMatrix.from_rows(given_rows)
+            assert str(exc.value) == message
+
+
 class TestIntMatrixFromRows:
     @pytest.mark.parametrize("entry", [Fraction(1, 2), 2.7, "3"], ids=["fraction", "float", "str"])
     def test_rejects_non_integer_entries(self, entry):

@@ -25,6 +25,7 @@ from kinkeq.formats import (
     parse_matrix,
     parse_quadratic_form,
     parse_trace,
+    read_rows,
     serialize_int_matrix,
     serialize_matrix,
     serialize_trace,
@@ -34,7 +35,7 @@ from kinkeq.worked_examples import (
     obstructed_matrix_reduction_trace,
 )
 
-from oracles import quadratic_value, random_sym_rational
+from oracles import decimal_value, quadratic_value, random_sym_rational
 
 # past CPython's default int string-conversion limit (4300 digits)
 LONG = "7" * 5000
@@ -116,6 +117,89 @@ class TestIntMatrixFormat:
     def test_rejects_fraction(self):
         with pytest.raises(ParseError):
             parse_int_matrix("int 1 1\n1/2\n")
+
+
+class TestReadRows:
+    """A row without "/" is read by ``int`` alone; it must give what the
+    per-token reading gives, and refuse what it refuses."""
+
+    @staticmethod
+    def random_line(rng):
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            tokens = [
+                rng.choice(["", "+", "-"]) + "0" * rng.randint(0, 2) + str(rng.randrange(10**12))
+                for _ in range(rng.randint(0, 6))
+            ]
+            gap = rng.choice([" ", "  ", "\t"])
+            rows.append(rng.choice(["", " "]) + gap.join(tokens) + rng.choice(["", " "]))
+        return ";".join(rows)
+
+    def test_integer_line_equals_per_token_path(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            line = self.random_line(rng)
+            rows = read_rows(line, None, False)
+            assert rows == read_rows(line, None, True)
+            assert rows == [[Fraction(t) for t in row.split()] for row in line.split(";")]
+            assert all(type(x) is int for row in rows for x in row)
+
+    def test_mixed_line(self):
+        rows = read_rows("1/2 3; 4 -6/4;5 6", None, False)
+        assert rows == [[Fraction(1, 2), 3], [4, Fraction(-3, 2)], [5, 6]]
+        assert [[type(x) for x in row] for row in rows] == [
+            [Fraction, int],
+            [int, Fraction],
+            [int, int],
+        ]
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("1 2x", BadRational, "line 4: bad number '2x'"),
+            ("1 _2", BadRational, "line 4: bad number '_2'"),
+            ("1 \u0663", BadRational, "line 4: bad number '\u0663'"),
+            ("1\u00a02", ParseError, "line 4: non-ASCII space in '1\\xa02'"),
+            (LONG, BadRational, "line 4: number too long (5000 characters)"),
+        ],
+        ids=["letter", "underscore", "arabic-indic-digit", "no-break-space", "long"],
+    )
+    @pytest.mark.parametrize("integers", [False, True])
+    def test_refusals(self, text, error, message, integers):
+        with pytest.raises(ParseError) as exc:
+            read_rows(text, 4, integers)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+
+class TestPastLimitOutput:
+    """The writers print integers of any length; the readers still refuse
+    tokens past 4300 digits."""
+
+    BIG = 10**5000 + 7
+
+    def test_matrix(self):
+        text = serialize_matrix(SymMatrix.diagonal([self.BIG]))
+        header, entry = text.splitlines()
+        assert header == "sym 1" and decimal_value(entry) == self.BIG
+
+    def test_trace_end(self):
+        from kinkeq import Kink, Trace
+
+        G = SymMatrix.diagonal([-self.BIG])
+        trace = Trace(G, (Kink(1),), G.block_sum(1))
+        assert verify_trace(trace).valid
+        lines = serialize_trace(trace).splitlines()
+        assert lines[0] == "trace" and lines[2] == "kink +1"
+        assert decimal_value(lines[1]) == -self.BIG
+        keyword, first, rest = lines[3].split(" ", 2)
+        assert keyword == "end" and decimal_value(first) == -self.BIG
+        assert rest == "0;0 1"
+
+    def test_rational_entry(self):
+        text = serialize_matrix(SymMatrix.diagonal([Fraction(self.BIG, 3), 1]))
+        numerator, denominator = text.splitlines()[1].split(" ")[0].split("/")
+        assert (decimal_value(numerator), denominator) == (self.BIG, "3")
 
 
 class TestTraceFormat:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinkeq import Diagram, SymMatrix, determinant, goeritz_matrix, parse_diagram
+from kinkeq import Diagram, SymMatrix, determinant, goeritz_matrix, inertia, parse_diagram
 from kinkeq.errors import ParseError, RegionOutOfRange, SelfPairedCrossing
 from kinkeq.exact import Inertia, inertia_and_abs_det
+from kinkeq.formats import parse_matrix, serialize_matrix
 
 from oracles import elimination_invariants
 
@@ -100,6 +101,15 @@ class TestLargeGoeritz:
         assert signs == (77, 69, 3)
         assert inertia_and_abs_det(G) == (Inertia(*signs), abs(det))
         assert determinant(G) == det
+
+    def test_through_the_text_formats(self):
+        # the file "kinkeq goeritz" writes and "kinkeq inertia" and "det" read
+        G = goeritz_matrix(_grid_diagram(random.Random(2), 150))
+        H = parse_matrix(serialize_matrix(G))
+        assert H == G
+        _, signs, det = elimination_invariants(H)
+        assert inertia(H) == Inertia(*signs)
+        assert determinant(H) == det
 
 
 def _grid_diagram(rng: random.Random, count: int) -> Diagram:
