@@ -200,11 +200,6 @@ def reduce_binary_form(A: SymMatrix) -> tuple[SymMatrix, IntMatrix]:
     return reduced, E
 
 
-def cct_2x2(A: SymMatrix) -> GramFactor:
-    """Explicit Gram factor of a positive-definite 2x2 integer matrix."""
-    return reduced_gram_factor(*reduce_binary_form(A))
-
-
 def reduced_gram_factor(reduced: SymMatrix, E: IntMatrix) -> GramFactor:
     """Gram factor of E A' E^T from the reduced form A' = [[a, b], [b, c]]
     and the congruence E that ``reduce_binary_form`` returns with it.

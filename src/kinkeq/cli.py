@@ -12,7 +12,7 @@ from functools import cache
 
 from .cct import cct_search, icct_trace, reduce_binary_form, reduced_gram_factor
 from .errors import InvalidTrace, KinkEqError, NotUnimodularForm
-from .exact import SymMatrix, determinant, inertia, inertia_and_abs_det
+from .exact import SymMatrix, determinant, inertia, inertia_and_abs_det, write_number
 from .formats import (
     parse_int_matrix,
     parse_matrix,
@@ -22,7 +22,6 @@ from .formats import (
     serialize_int_matrix,
     serialize_matrix,
     serialize_trace,
-    write_number,
 )
 from .goeritz import goeritz_matrix, parse_diagram
 from .moves import count_moves, trace_stats, verify_trace

@@ -6,10 +6,15 @@ rational matrix G is stored as its integer lift: the least d > 0 with d*G
 integral and the integer rows of d*G.  The 0x0 matrix is a legitimate
 value throughout, with determinant 1 and inertia (0, 0, 0).
 
+The moves act here.  ``congruence`` takes P (P dG)^T, which is P dG P^T
+as G is symmetric, by ``_row_product``, the one matrix product, which
+``IntMatrix.matmul`` shares.  The kink ``SymMatrix.block_sum(sign)``
+mirrors the unkink ``strip_block(sign)``: sign is the int +-1, den stays
+and the trailing row is (0, ..., 0, sign * den).
+
 ``determinant``, ``inertia`` and ``diagonalizing_congruence`` use
-fraction-free (Bareiss) elimination on the lift, and ``congruence``
-multiplies it by the nonzero entries of P.  The elimination skips two
-kinds of zeros of a sparse matrix, such as a banded Goeritz matrix:
+fraction-free (Bareiss) elimination on the lift, which skips two kinds of
+zeros of a sparse matrix, such as a banded Goeritz matrix:
 
 - Rows are rescaled lazily.  A row with a zero in the pivot column is not
   touched; its stamp, the pivot at which its values were last current,
@@ -63,6 +68,26 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         return -old_r, -old_x, -old_y
     return old_r, old_x, old_y
+
+
+def write_number(x: int | Fraction) -> str:
+    """``str(x)`` of any length: "p" or "p/q", the mirror of the readers in
+    ``formats``; the one number writer of the package."""
+    text = _write_long(x.numerator)
+    return text if x.denominator == 1 else f"{text}/{_write_long(x.denominator)}"
+
+
+def _write_long(x: int) -> str:
+    """The decimal digits of x, split at a power of ten into halves until
+    each is short enough for ``str`` (640 digits, the least limit CPython
+    allows); the low half is zero-padded to its k digits."""
+    if x < 0:
+        return "-" + _write_long(-x)
+    if x.bit_length() <= 2000:  # at most 603 digits
+        return str(x)
+    k = x.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(x, 10**k)
+    return _write_long(high) + _write_long(low).zfill(k)
 
 
 @dataclass(frozen=True)
@@ -124,14 +149,8 @@ class IntMatrix:
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise SizeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        data = tuple(
-            tuple(
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            )
-            for i in range(self.rows)
-        )
-        return IntMatrix(self.rows, other.cols, data)
+        product = _row_product(self.entries, other.entries, other.cols)
+        return IntMatrix(self.rows, other.cols, product)
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i][j] for i in range(self.rows))
@@ -200,14 +219,14 @@ class SymMatrix:
     def is_integral(self) -> bool:
         return self.den == 1
 
-    def block_sum(self, value: int | Fraction) -> "SymMatrix":
-        """Direct sum with the 1x1 block [value]."""
-        if not isinstance(value, (int, Fraction)):
-            raise BadRational(f"value must be int or Fraction, got {type(value).__name__}")
-        den = lcm(self.den, value.denominator)
-        rows = [tuple(x * (den // self.den) for x in row) + (0,) for row in self.rows]
-        rows.append((0,) * self.n + (value.numerator * (den // value.denominator),))
-        return SymMatrix(den, tuple(rows))
+    def block_sum(self, sign: int) -> "SymMatrix":
+        """The kink: add a trailing block [sign], sign the int +-1; undone by ``strip_block``."""
+        if not isinstance(sign, int) or sign not in (1, -1):
+            raise BadRational("a kink block is the int +1 or -1")
+        # the added row is (0, ..., 0, +-den), so den stays least
+        rows = [row + (0,) for row in self.rows]
+        rows.append((0,) * self.n + (sign * self.den,))
+        return SymMatrix(self.den, tuple(rows))
 
     def strip_block(self, sign: int) -> "SymMatrix":
         """The unkink: drop a trailing block [sign], sign +-1; undoes ``block_sum(sign)``."""
@@ -216,7 +235,7 @@ class SymMatrix:
         last = self.rows[-1]
         if sign not in (1, -1) or last[-1] != sign * self.den:
             raise UnkinkShapeViolation(
-                f"trailing diagonal entry is {self[-1, -1]}, expected {sign}"
+                f"trailing diagonal entry is {write_number(self[-1, -1])}, expected {sign}"
             )
         if any(last[:-1]):
             raise UnkinkShapeViolation("trailing row/column is not zero off the diagonal")
@@ -463,33 +482,39 @@ def diagonalizing_congruence(G: SymMatrix) -> tuple[list[Fraction], list[list[Fr
     )
 
 
+def _row_product(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]], width: int):
+    """The rows of left * right, whose rows have ``width`` entries: row i is
+    the sum of p * right[k] over the nonzero entries p = left[i][k], so a
+    sparse left factor costs only its nonzeros.  A first term with p = 1,
+    as in the unit rows of a shear or a permutation, is right[k] itself."""
+    zero = (0,) * width
+    product = []
+    for row in left:
+        acc = zero
+        for k, p in enumerate(row):
+            if p:
+                if acc is zero:
+                    acc = right[k] if p == 1 else [p * y for y in right[k]]
+                else:
+                    acc = [x + p * y for x, y in zip(acc, right[k])]
+        product.append(tuple(acc))
+    return tuple(product)
+
+
 def congruence(G: SymMatrix, P: IntMatrix) -> SymMatrix:
     """Return P G P^T for unimodular P of the same size as G.
 
-    Works on the integer lift and on the nonzero entries of each row of P,
-    which for the reducer's shears and permutations are few.
+    Works on the integer lift: P (P dG)^T, which is P dG P^T because G is
+    symmetric, by two row products over the nonzero entries of P.
     """
     if P.rows != P.cols or P.rows != G.n:
         raise SizeMismatch(f"P is {P.rows}x{P.cols}, G is {G.n}x{G.n}")
     det = _det_int(P.entries)
     if det not in (1, -1):
-        raise NotUnimodular(f"det(P) = {det}")
-    n = G.n
-    g = G.rows
-    sparse = [[(k, p) for k, p in enumerate(row) if p] for row in P.entries]
-    pg = []  # rows of P (dG)
-    for terms in sparse:
-        acc = [0] * n
-        for k, p in terms:
-            acc = [x + p * y for x, y in zip(acc, g[k])]
-        pg.append(acc)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        r = pg[i]
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = sum(r[k] * p for k, p in sparse[j])
+        raise NotUnimodular(f"det(P) = {write_number(det)}")
+    pg = _row_product(P.entries, G.rows, G.n)
     # P and its inverse are integral, so the entries keep their gcd and den stays least
-    return SymMatrix(G.den, tuple(map(tuple, rows)))
+    return SymMatrix(G.den, _row_product(P.entries, tuple(zip(*pg)), G.n))
 
 
 def extend_primitive(b: Sequence[int]) -> IntMatrix:

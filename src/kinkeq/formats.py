@@ -19,7 +19,7 @@ from .errors import (
     SizeMismatch,
     UnknownVariable,
 )
-from .exact import IntMatrix, SymMatrix
+from .exact import IntMatrix, SymMatrix, write_number
 from .moves import Congruence, Kink, Move, Trace, Unkink
 
 _NUMBER_RE = re.compile("[+-]?[0-9]+(/[0-9]+)?")
@@ -129,25 +129,6 @@ def _symmetric(rows: list[list], line: int | None) -> SymMatrix:
 def parse_matrix(text: str) -> SymMatrix:
     """Read the "sym N" format: header, then N rows of N rationals."""
     return _symmetric(_read_table(text, "sym N", False)[1], None)
-
-
-def write_number(x: int | Fraction) -> str:
-    """``str(x)`` of any length: "p" or "p/q", the mirror of ``read_number``."""
-    text = _write_long(x.numerator)
-    return text if x.denominator == 1 else f"{text}/{_write_long(x.denominator)}"
-
-
-def _write_long(x: int) -> str:
-    """The decimal digits of x, split at a power of ten into halves until
-    each is short enough for ``str`` (640 digits, the least limit CPython
-    allows); the low half is zero-padded to its k digits."""
-    if x < 0:
-        return "-" + _write_long(-x)
-    if x.bit_length() <= 2000:  # at most 603 digits
-        return str(x)
-    k = x.bit_length() * 3 // 20  # about half the digits
-    high, low = divmod(x, 10**k)
-    return _write_long(high) + _write_long(low).zfill(k)
 
 
 def _write_row(row) -> str:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with different algorithms than the
 package under test: determinants by cofactor expansion, congruences by the
-dense rational triple product, eigenvalue sign counts from the exact
+dense rational triple product, matrix products by dense dot products,
+eigenvalue sign counts from the exact
 characteristic polynomial, a diagonalizing congruence by Gaussian
 elimination over the rationals.  Values frozen in the tests were computed
 with these oracles (or checked against published figures) before being
@@ -54,6 +55,15 @@ def congruence_oracle(G: SymMatrix, P: IntMatrix) -> SymMatrix:
             ]
             for i in range(n)
         ]
+    )
+
+
+def matmul_oracle(A: IntMatrix, B: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """A B as the textbook dot product of every row of A with every column
+    of B, zeros included."""
+    return tuple(
+        tuple(sum(A.entries[i][k] * B.entries[k][j] for k in range(A.cols)) for j in range(B.cols))
+        for i in range(A.rows)
     )
 
 

@@ -20,7 +20,6 @@ from kinkeq import (
     SymMatrix,
     Trace,
     Unkink,
-    cct_2x2,
     cct_search,
     congruence,
     count_moves,
@@ -32,6 +31,7 @@ from kinkeq import (
     trace_stats,
     verify_trace,
 )
+from kinkeq.cct import reduced_gram_factor
 from kinkeq.cli import blowup_report
 from kinkeq.formats import parse_trace
 from kinkeq.worked_examples import (
@@ -189,7 +189,7 @@ def test_criterion_7_binary_forms_200_random():
         if a == abs(b) or a == c:
             assert b >= 0
         assert congruence(reduced, E) == A
-        assert cct_2x2(A).gram() == A
+        assert reduced_gram_factor(reduced, E).gram() == A
     assert time.time() - t0 < 5
 
 

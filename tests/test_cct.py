@@ -11,7 +11,6 @@ from kinkeq import (
     GramFactor,
     IntMatrix,
     SymMatrix,
-    cct_2x2,
     cct_search,
     congruence,
     icct_trace,
@@ -19,6 +18,7 @@ from kinkeq import (
     reduce_binary_form,
     verify_trace,
 )
+from kinkeq.cct import reduced_gram_factor
 from kinkeq.errors import (
     Not2x2,
     NotIntegerMatrix,
@@ -164,7 +164,7 @@ class TestReduceBinaryForm:
 
 class TestCct2x2:
     def test_paper_construction(self):
-        factor = cct_2x2(SymMatrix.from_rows([[2, 1], [1, 2]]))
+        factor = reduced_gram_factor(*reduce_binary_form(SymMatrix.from_rows([[2, 1], [1, 2]])))
         assert sorted(factor.matrix.column(j) for j in range(factor.matrix.cols)) == [
             (0, 1),
             (1, 0),
@@ -172,12 +172,12 @@ class TestCct2x2:
         ]
 
     def test_identity(self):
-        factor = cct_2x2(SymMatrix.diagonal([1, 1]))
+        factor = reduced_gram_factor(*reduce_binary_form(SymMatrix.diagonal([1, 1])))
         assert factor.matrix == IntMatrix.identity(2)
 
     def test_reduced_example(self):
         A = SymMatrix.from_rows([[5, 2], [2, 5]])
-        factor = cct_2x2(A)
+        factor = reduced_gram_factor(*reduce_binary_form(A))
         assert factor.gram() == A
         assert factor.matrix.cols == 8  # 3 + 3 + 2 columns
 
@@ -185,4 +185,4 @@ class TestCct2x2:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_gram_identity(self, seed):
         A = random_posdef_2x2(random.Random(seed))
-        assert cct_2x2(A).gram() == A
+        assert reduced_gram_factor(*reduce_binary_form(A)).gram() == A

@@ -317,6 +317,36 @@ def test_verify_past_int_conversion_limit(matrix_file, capsys):
     assert match and decimal_value(match[1]) == int(A) * int(B)
 
 
+# M of 2500 nines and X of 2200 sevens, each readable
+M = "9" * 2500
+X = "7" * 2200
+
+
+@pytest.mark.parametrize(
+    "text, reason, value",
+    [
+        # the shear by M makes the unkinked entry A*M^2 + 1, of 8000 digits
+        (
+            f"trace\n{A} 0;0 1\ncongr 1 0;{M} 1\nunkink +1\nend 1\n",
+            r"1: UnkinkShapeViolation: trailing diagonal entry is ([0-9]+), expected 1",
+            int(A) * int(M) ** 2 + 1,
+        ),
+        # the diagonal P = X*I has det(P) = X^2, of 4400 digits
+        (
+            f"trace\n1 0;0 1\ncongr {X} 0;0 {X}\nend 1 0;0 1\n",
+            r"0: NotUnimodular: det\(P\) = ([0-9]+)",
+            int(X) ** 2,
+        ),
+    ],
+    ids=["unkink", "congruence"],
+)
+def test_verify_invalid_message_past_int_conversion_limit(matrix_file, capsys, text, reason, value):
+    # the reason prints its number at any length, so the step is INVALID, not an error
+    assert main(["verify", matrix_file("t.txt", text)]) == 1
+    match = re.fullmatch(f"INVALID at step {reason}", capsys.readouterr().out.strip())
+    assert match and decimal_value(match[1]) == value
+
+
 def test_unexpected_exception_exit_2(matrix_file, capsys, monkeypatch):
     import kinkeq.cli
 

@@ -38,6 +38,7 @@ from oracles import (
     direct_sum,
     elimination_invariants,
     inertia_oracle,
+    matmul_oracle,
     quadratic_value,
     random_banded_sym,
     random_int_matrix,
@@ -273,8 +274,15 @@ class TestSymMatrixEntries:
             SymMatrix.empty().block_sum(entry)
 
     def test_block_sum_of_fraction(self):
-        G = SymMatrix.from_rows([[2]]).block_sum(Fraction(-1, 3))
-        assert G == SymMatrix.diagonal([2, Fraction(-1, 3)])
+        # a kink adds only the block [+1] or [-1], so a Fraction is refused
+        with pytest.raises(BadRational):
+            SymMatrix.from_rows([[2]]).block_sum(Fraction(-1, 3))
+
+    @pytest.mark.parametrize("sign", [0, 2, -7 * 10**4999], ids=["zero", "two", "long"])
+    def test_block_sum_refuses_other_ints(self, sign):
+        # the message names no value, so no int is converted to text
+        with pytest.raises(BadRational, match=r"^a kink block is the int \+1 or -1$"):
+            SymMatrix.from_rows([[2]]).block_sum(sign)
 
 
 class TestFromRowsIntegerPath:
@@ -342,6 +350,36 @@ class TestIntMatrixFromRows:
     def test_matmul_rejects_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             IntMatrix.identity(2).matmul(IntMatrix.identity(3))
+
+
+class TestMatmul:
+    """The one row product against dense dot products."""
+
+    @pytest.mark.parametrize(
+        "n, k, m", [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1), (4, 7, 3), (5, 2, 6)]
+    )
+    def test_matmul_agrees_with_dense_oracle(self, n, k, m):
+        rng = random.Random(f"matmul-{n}-{k}-{m}")
+        for _ in range(30):
+            A = random_int_matrix(rng, n, k)
+            # zero rows and sparse rows of the left factor are skipped
+            rows = [[x if rng.random() < 0.5 else 0 for x in row] for row in A.entries]
+            if rows:
+                rows[rng.randrange(n)] = [0] * k
+            for left in (A, IntMatrix.from_rows(rows, cols=k)):
+                B = random_int_matrix(rng, k, m)
+                product = left.matmul(B)
+                assert (product.rows, product.cols) == (n, m)
+                assert product.entries == matmul_oracle(left, B)
+
+    @pytest.mark.parametrize("n, m", [(1, 4), (3, 9), (5, 12), (6, 0)])
+    def test_matmul_gram_shapes(self, n, m):
+        # C C^T and C^T C, the products that the Gram-factor code takes
+        rng = random.Random(f"gram-{n}-{m}")
+        for _ in range(30):
+            C = random_int_matrix(rng, n, m, bound=2)
+            for left, right in ((C, C.transpose()), (C.transpose(), C)):
+                assert left.matmul(right).entries == matmul_oracle(left, right)
 
 
 class TestUnimodularity:

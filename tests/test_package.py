@@ -139,6 +139,33 @@ def test_traced_layers_exist():
     assert layers and not missing, missing
 
 
+def _looping_functions(is_update):
+    """Every function of ``exact`` by name, methods as ``Class.name``, and
+    the names of those that loop a node for which ``is_update`` holds."""
+    tree = ast.parse((ROOT / "src" / "kinkeq" / "exact.py").read_text(encoding="utf-8"))
+    functions = {
+        f"{scope.name}.{node.name}" if scope is not tree else node.name: node
+        for scope in [tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))]
+        for node in scope.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    looping = {
+        name
+        for name, function in functions.items()
+        for loop in ast.walk(function)
+        if isinstance(loop, loops) and any(map(is_update, ast.walk(loop)))
+    }
+    return functions, looping
+
+
+def _calls(function, name):
+    return any(
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+        for node in ast.walk(function)
+    )
+
+
 def _is_bareiss_update(node):
     """``(x * y - z * w) // d``: one fraction-free elimination update."""
     return (
@@ -157,21 +184,39 @@ def test_one_bareiss_loop():
     """``_eliminate`` and ``_det_int`` both run ``_bareiss_step``, and it is
     the only function in ``exact`` that loops a Bareiss update, so a second
     copy of the elimination cannot come back unnoticed."""
-    tree = ast.parse((ROOT / "src" / "kinkeq" / "exact.py").read_text(encoding="utf-8"))
-    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-    looping = {
-        name
-        for name, function in functions.items()
-        for loop in ast.walk(function)
-        if isinstance(loop, loops) and any(map(_is_bareiss_update, ast.walk(loop)))
-    }
+    functions, looping = _looping_functions(_is_bareiss_update)
     assert looping == {"_bareiss_step"}, looping
     for caller in ("_eliminate", "_det_int"):
-        assert any(
-            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_bareiss_step"
-            for node in ast.walk(functions[caller])
-        ), caller
+        assert _calls(functions[caller], "_bareiss_step"), caller
+
+
+def _is_product_term(node):
+    """A multiply-accumulate of a matrix product: ``sum`` over a product,
+    or ``acc + p * y``, a name plus a product."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum":
+        return any(
+            isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.Mult)
+            for arg in node.args
+            for inner in ast.walk(arg)
+        )
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Add)
+        and isinstance(node.left, ast.Name)
+        and isinstance(node.right, ast.BinOp)
+        and isinstance(node.right.op, ast.Mult)
+    )
+
+
+def test_one_matrix_product():
+    """``congruence`` and ``IntMatrix.matmul`` both call ``_row_product``,
+    and it is the only function in ``exact`` that loops a
+    multiply-accumulate, so a second matrix product cannot come back
+    unnoticed."""
+    functions, looping = _looping_functions(_is_product_term)
+    assert looping == {"_row_product"}, looping
+    for caller in ("congruence", "IntMatrix.matmul"):
+        assert _calls(functions[caller], "_row_product"), caller
 
 
 def test_numbers_read_only_in_formats():
