@@ -230,10 +230,12 @@ class SymMatrix:
 
     def strip_block(self, sign: int) -> "SymMatrix":
         """The unkink: drop a trailing block [sign], sign +-1; undoes ``block_sum(sign)``."""
+        if not isinstance(sign, int) or sign not in (1, -1):
+            raise UnkinkShapeViolation("an unkink block is the int +1 or -1")
         if not self.rows:
             raise UnkinkShapeViolation("cannot unkink the empty matrix")
         last = self.rows[-1]
-        if sign not in (1, -1) or last[-1] != sign * self.den:
+        if last[-1] != sign * self.den:
             raise UnkinkShapeViolation(
                 f"trailing diagonal entry is {write_number(self[-1, -1])}, expected {sign}"
             )
@@ -344,11 +346,10 @@ def _bareiss_step(
 
 
 def determinant(G: SymMatrix) -> Fraction:
-    """Exact determinant: the last pivot of the elimination of the lift d*G
-    is det(d*G), since the pivot moves are congruences by matrices of
-    determinant +-1; when the elimination stops early G is singular."""
-    pivots = [1, *_eliminate([list(row) for row in G.rows])]
-    return Fraction(pivots[-1] if len(pivots) > G.n else 0, G.den**G.n)
+    """Exact determinant: |det G| from ``inertia_and_abs_det``, negative
+    exactly when G has an odd number of negative eigenvalues."""
+    signs, abs_det = inertia_and_abs_det(G)
+    return -abs_det if signs.n_minus % 2 else abs_det
 
 
 def is_unimodular(P: IntMatrix) -> bool:

@@ -20,6 +20,7 @@ Per eliminated eigenvalue the round spends at most four negative kinks
 from __future__ import annotations
 
 from math import gcd, isqrt
+from operator import mul
 
 from .errors import (
     InternalError,
@@ -72,7 +73,9 @@ def find_positive_vector(G: SymMatrix) -> tuple[int, ...]:
     then an exact witness read off from a congruence diagonalization
     L G L^T = D.  Any row i of L with D_ii > 0 satisfies u G u^T = D_ii > 0,
     so this stage always succeeds when the matrix has a positive
-    eigenvalue, with polynomially bounded entry sizes.
+    eigenvalue, with polynomially bounded entry sizes.  The first such row,
+    made primitive, is then shrunk by ``_shrink_positive_vector``, which
+    never lengthens a coordinate.
     """
     n = G.n
     g = G.rows  # d*G with d > 0: the same signs, in integers
@@ -94,53 +97,31 @@ def find_positive_vector(G: SymMatrix) -> tuple[int, ...]:
 
 
 def _shrink_positive_vector(G: SymMatrix, b: tuple[int, ...]) -> tuple[int, ...]:
-    """Coordinate-descend b toward the origin while keeping b^T G b > 0.
+    """Shrink b along its own direction while keeping b^T G b > 0.
 
-    The form is quadratic in each coordinate, so along coordinate i the
-    feasible values around b_i form an interval; binary search finds the
-    entry of least magnitude in it.  Each accepted step strictly decreases
-    sum(|b_i|), so the sweep terminates.  This keeps the corner entry (and
-    everything downstream of it) small even when the diagonalization
-    witness has large entries.
+    The vectors with u^T G u > 0 form a cone, so b/m stays inside it for
+    every m > 0, and b/m rounded to integers stays inside it while the
+    rounding error is small against b/m.  A binary search on the scale m,
+    from 1 (b itself) to max |b_i|, keeps the rounded b/m of the largest m
+    it finds inside.  Rounding never lengthens a coordinate, so neither the
+    corner entry nor anything downstream of it grows past what the
+    diagonalization witness gives.
     """
-    n = G.n
     g = G.rows  # the form of d*G, d > 0, has the same signs, in integers
-    u = list(b)
-    value = sum(u[i] * g[i][j] * u[j] for i in range(n) for j in range(n))
-    # value is maintained incrementally across steps
-    changed = True
-    passes = 0
-    while changed and passes < 32:
-        passes += 1
-        changed = False
-        for i in range(n):
-            if u[i] == 0:
-                continue
-            # along coordinate i the form is q(t) = a*t^2 + 2*s*t + c
-            a = g[i][i]
-            s = sum(g[i][j] * u[j] for j in range(n) if j != i)
-            x = u[i]
-            c = value - a * x * x - 2 * s * x
 
-            def q(t):
-                return a * t * t + 2 * s * t + c
+    def positive(u: list[int]) -> bool:
+        return sum(x * sum(map(mul, row, u)) for x, row in zip(u, g) if x) > 0
 
-            if c > 0:
-                best = 0
-            else:
-                lo, hi = 0, x  # q(hi) = value > 0, q(lo) = c <= 0
-                while abs(hi - lo) > 1:
-                    mid = (lo + hi) // 2
-                    if q(mid) > 0:
-                        hi = mid
-                    else:
-                        lo = mid
-                best = hi
-            if best != x:
-                u[i] = best
-                value = q(best)
-                changed = True
-    return primitive_scale(u)
+    best = list(b)
+    lo, hi = 1, max(map(abs, b))
+    while lo < hi:
+        m = (lo + hi + 1) // 2
+        u = [(2 * x + m) // (2 * m) for x in b]  # b/m, rounded to nearest
+        if positive(u):
+            best, lo = u, m
+        else:
+            hi = m - 1
+    return primitive_scale(best)
 
 
 def integralize_first_row(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:

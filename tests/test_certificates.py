@@ -31,8 +31,8 @@ from kinkeq.worked_examples import (
 
 from oracles import random_int_matrix, random_sym, random_sym_rational
 
-DIGEST = "c86216125521ada1743cef1008052540169d0da139bdbfc425f3edeecd44ff34"
-MATRIX_DIGEST = "5406fea9a4892aea1464c0213040b0bb248905cacce8b053b62129ea20bb53ad"
+DIGEST = "41c1300360c43d3e96ced36edffd75dd45c418b6661cd1453af42f8f4f329019"
+MATRIX_DIGEST = "02e03595677559590c3c23cabddfa0016bd8419d46e5fa2f0a851ae2b84254af"
 
 
 def _certificates():

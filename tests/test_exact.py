@@ -26,6 +26,7 @@ from kinkeq.errors import (
     NotPrimitive,
     NotUnimodular,
     SizeMismatch,
+    UnkinkShapeViolation,
     ZeroVector,
 )
 from kinkeq.exact import Inertia, diagonalizing_congruence, inertia_and_abs_det
@@ -283,6 +284,18 @@ class TestSymMatrixEntries:
         # the message names no value, so no int is converted to text
         with pytest.raises(BadRational, match=r"^a kink block is the int \+1 or -1$"):
             SymMatrix.from_rows([[2]]).block_sum(sign)
+
+    @pytest.mark.parametrize(
+        "sign", [7 * 10**5000, 1.0, Fraction(1)], ids=["long", "float", "fraction"]
+    )
+    def test_strip_block_refuses_what_block_sum_refuses(self, sign):
+        # the message names no value, so no int is converted to text
+        with pytest.raises(UnkinkShapeViolation, match=r"^an unkink block is the int \+1 or -1$"):
+            SymMatrix.from_rows([[1]]).strip_block(sign)
+
+    def test_strip_block_accepts_bool(self):
+        # bool is an int, as in ``Unkink``
+        assert SymMatrix.from_rows([[2, 0], [0, 1]]).strip_block(True) == SymMatrix.from_rows([[2]])
 
 
 class TestFromRowsIntegerPath:

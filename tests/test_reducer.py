@@ -24,6 +24,7 @@ from kinkeq import (
     four_squares,
     inertia,
     integralize_first_row,
+    primitive_scale,
     reduce,
     replay,
     verify_trace,
@@ -34,6 +35,7 @@ from kinkeq.errors import (
     NoPositiveEigenvalue,
     SingularForDefiniteTarget,
 )
+from kinkeq.exact import diagonalizing_congruence
 from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX
 
 from oracles import quadratic_value, random_sym, random_sym_rational
@@ -57,6 +59,29 @@ class TestFourSquares:
         a, b, c, d = four_squares(k)
         assert a * a + b * b + c * c + d * d == k
         assert a >= b >= c >= d >= 0
+
+
+def _witness_only(seed, n):
+    """A seeded matrix with n_plus > 0 on which every diagonal entry and
+    every e_i +/- e_j value is <= 0, so only the witness path is left."""
+    rng = random.Random(seed)
+    while True:
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.randint(-30, 0)
+        for i in range(n):
+            for j in range(i + 1, n):
+                k = -(rows[i][i] + rows[j][j]) // 2
+                rows[i][j] = rows[j][i] = rng.randint(-k, k)
+        G = SymMatrix.from_rows(rows)
+        if inertia(G).n_plus:
+            return G
+
+
+WITNESS_CASES = [
+    SymMatrix.from_rows([[-1, 11], [11, -100]]),
+    *(_witness_only(seed, n) for n in range(2, 7) for seed in range(8)),
+]
 
 
 class TestFindPositiveVector:
@@ -91,6 +116,23 @@ class TestFindPositiveVector:
             g = gcd(g, x)
         assert g == 1
         assert quadratic_value(G, b) >= 1
+
+    @pytest.mark.parametrize("G", WITNESS_CASES)
+    def test_witness_path_never_lengthens_the_witness(self, G):
+        n = G.n
+        assert all(G[i, i] <= 0 for i in range(n))
+        assert all(
+            quadratic_value(G, [int(t == i) + s * int(t == j) for t in range(n)]) <= 0
+            for i in range(n)
+            for j in range(i + 1, n)
+            for s in (1, -1)
+        )
+        b = find_positive_vector(G)
+        assert gcd(*b) == 1
+        assert quadratic_value(G, b) > 0
+        diag, L = diagonalizing_congruence(G)
+        w = primitive_scale(next(row for d, row in zip(diag, L) if d > 0))
+        assert all(abs(x) <= abs(y) for x, y in zip(b, w))
 
 
 class TestIntegralizeFirstRow:
@@ -243,6 +285,19 @@ class TestReduce:
         stats = count_moves(trace.moves)
         assert stats.pos_kinks <= 4 * before.n_minus
         assert stats.neg_unkinks == before.n_minus
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_integer_n10_keeps_entries_small(self, case):
+        # the n = 10 rows of the stall sweep: entries -9..9, nonsingular
+        rng = random.Random(1000 + 10 + 7919 * case)
+        G = random_sym(rng, 10, 9)
+        while determinant(G) == 0:
+            G = random_sym(rng, 10, 9)
+        trace = reduce(G, NEG_DEFINITE)
+        assert verify_trace(trace).valid
+        assert inertia(trace.end).n_minus == trace.end.n
+        assert count_moves(trace.moves).neg_kinks <= 4 * inertia(G).n_plus
+        assert max(abs(x).bit_length() for row in trace.end.rows for x in row) <= 64
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
