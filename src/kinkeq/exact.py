@@ -108,7 +108,7 @@ class IntMatrix:
         if any(len(row) != width for row in data):
             raise SizeMismatch("ragged rows")
         if cols not in (None, width):
-            raise SizeMismatch(f"{cols} columns given, the rows have {width}")
+            raise SizeMismatch(f"{write_number(cols)} columns given, the rows have {width}")
         return cls(len(data), width, data)
 
     @classmethod
@@ -534,7 +534,7 @@ def extend_primitive(b: Sequence[int]) -> IntMatrix:
         raise ZeroVector("cannot extend the zero vector")
     g = gcd(*b)
     if g != 1:
-        raise NotPrimitive(f"gcd of entries is {g}")
+        raise NotPrimitive(f"gcd of entries is {write_number(g)}")
 
     p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     lead = b[0]

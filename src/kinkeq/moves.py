@@ -26,6 +26,7 @@ from .exact import (
     SymMatrix,
     congruence,
     inertia_and_abs_det,
+    write_number,
 )
 
 
@@ -36,7 +37,8 @@ class Congruence:
 
 def _check_sign(kind: str, sign: int) -> None:
     if not isinstance(sign, int) or sign not in (1, -1):
-        raise KinkEqError(f"{kind} sign must be the int +1 or -1, got {sign!r}")
+        got = write_number(sign) if isinstance(sign, (int, Fraction)) else repr(sign)
+        raise KinkEqError(f"{kind} sign must be the int +1 or -1, got {got}")
 
 
 @dataclass(frozen=True)

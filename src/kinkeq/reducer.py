@@ -1,13 +1,14 @@
 """Constructive reduction to definite and semidefinite representatives.
 
-One elimination round removes a single positive eigenvalue:
+One elimination round removes a single positive eigenvalue by its kinks,
+one congruence Q that makes every change of basis below, and one unkink:
 
-1. congruence moving a primitive vector b with b^T G b > 0 into the first
-   coordinate, so the corner entry k = b^T G b is positive;
-2. (rational input only) an integralization congruence, at the cost of one
-   extra negative kink, making the first row integral;
+1. move a primitive vector b with b^T G b > 0 into the first coordinate,
+   so the corner entry k = b^T G b is positive;
+2. (rational input only) integralize, at the cost of one extra negative
+   kink, making the first row integral;
 3. write k - 1 as a sum of at most four squares, add one negative kink per
-   nonzero square, and fold them into the corner with a shear, leaving a 1;
+   nonzero square, and fold them into the corner, leaving a 1;
 4. clear the first row/column with the 1, rotate it to the back, and strip
    it with a positive unkink.
 
@@ -36,6 +37,7 @@ from .exact import (
     extend_primitive,
     inertia,
     primitive_scale,
+    write_number,
 )
 from .moves import Congruence, Kink, Move, Trace, Unkink, count_moves, replay
 
@@ -53,7 +55,7 @@ def four_squares(k: int) -> tuple[int, int, int, int]:
     search on (a, b, c); existence is classical, so the search always hits.
     """
     if k < 0:
-        raise KinkEqError(f"four_squares needs a nonnegative integer, got {k}")
+        raise KinkEqError(f"four_squares needs a nonnegative integer, got {write_number(k)}")
     for a in range(isqrt(k), -1, -1):
         r1 = k - a * a
         for b in range(min(a, isqrt(r1)), -1, -1):
@@ -134,7 +136,8 @@ def integralize_first_row(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     """
     n = G.n
     if n == 0 or G[0, 0] <= 0:
-        raise NonpositiveCorner(f"top-left entry must be positive, got {'0x0 matrix' if n == 0 else G[0, 0]}")
+        got = "0x0 matrix" if n == 0 else write_number(G[0, 0])
+        raise NonpositiveCorner(f"top-left entry must be positive, got {got}")
     d = G.den // gcd(G.den, *G.rows[0])  # the lcm of the first-row denominators
     if d == 1:
         return G, []
@@ -145,43 +148,36 @@ def integralize_first_row(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
 
 def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     """One round: n_plus drops by exactly one; at most 4 negative kinks
-    (5 for rational input) and exactly one positive unkink."""
-    moves: list[Move] = []
+    (5 for rational input), one congruence Q and exactly one positive unkink.
 
-    def play(*new: Move) -> None:
-        """Record the moves and apply them to G, in order."""
-        nonlocal G
-        moves.extend(new)
-        G = replay(G, new)
-
-    n = G.n
+    C has first row b, with the integralization shear fused in as
+    S (C (+) [1]).  With <x, y> the form after the kinks, u = (first row of
+    C, the nonzero squares s of k - 1) has <u, u> = k - sum s^2 = 1.  Q maps
+    each other row c of C (+) I to c - <c, u> u, orthogonal to u, and puts
+    u last; <c, u> is the integer H[0, j], or -s for a square's row.
+    """
     b = find_positive_vector(G)
-    if b != tuple(1 if t == 0 else 0 for t in range(n)):
-        P = extend_primitive(b).transpose()  # first row b, so corner = b^T G b
-        play(Congruence(P))
-
-    G, int_moves = integralize_first_row(G)
-    moves.extend(int_moves)
-    n = G.n
-
-    k = int(G[0, 0])
-    squares = [s for s in four_squares(k - 1) if s != 0]
-    if squares:
-        m = n + len(squares)
-        P = IntMatrix.shear(m, {(0, n + t): s for t, s in enumerate(squares)})
-        play(*[Kink(-1)] * len(squares), Congruence(P))
-        n = m
-    if G[0, 0] != 1:
-        raise InternalError(f"corner is {G[0, 0]} after folding in the squares, not 1")
-
-    w = [int(G[0, j]) for j in range(1, n)]
-    if any(w):
-        P = IntMatrix.shear(n, {(i, 0): -x for i, x in enumerate(w, start=1)})
-        play(Congruence(P))
-    if n > 1:
-        play(Congruence(IntMatrix.rotation(n, 1)))
-    play(Unkink(1))
-    return G, moves
+    C = extend_primitive(b).transpose()  # first row b, so the corner is b^T G b
+    H, moves = integralize_first_row(replay(G, [Congruence(C)]))
+    if moves:  # rational input: the kink [-1] stays, its shear S is fused into C
+        S = moves.pop().matrix
+        C = S.matmul(IntMatrix.from_rows([*(r + (0,) for r in C.entries), (0,) * C.cols + (1,)]))
+    h = [x // H.den for x in H.rows[0]]  # integral after integralize_first_row
+    squares = [s for s in four_squares(h[0] - 1) if s != 0]
+    norm = h[0] - sum(s * s for s in squares)  # <u, u>
+    if norm != 1:
+        raise InternalError(f"<u, u> is {write_number(norm)}, not 1, for the corner {write_number(h[0])}")
+    t, u = len(squares), C.entries[0] + tuple(squares)
+    m = len(u)
+    basis = [row + (0,) * t for row in C.entries]
+    basis += [tuple(int(j == i) for j in range(m)) for i in range(m - t, m)]
+    pairing = h + [-s for s in squares]  # <c, u> for each row c of basis
+    Q = [[a - x * y for a, y in zip(c, u)] for c, x in zip(basis[1:], pairing[1:])] + [u]
+    moves += [Kink(-1)] * t
+    if m > 1:  # Q is the identity only for the 1x1 corner [1]
+        moves.append(Congruence(IntMatrix.from_rows(Q, cols=m)))
+    moves.append(Unkink(1))
+    return replay(G, moves), moves
 
 
 def _flip(move: Move) -> Move:

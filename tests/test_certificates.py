@@ -6,7 +6,8 @@ I + CC^T chain on a few C, and both hand-encoded chains.  A change to any
 move the reducer or the chain builders emit changes the digest.  A second
 digest pins the matrix text formats on the same certificates: every start
 and end matrix in "sym N" form and every congruence matrix in "int R C"
-form.
+form.  A third hashes the start and end matrices alone, so it holds across
+a change that respells the moves between them but keeps what they reach.
 """
 
 import hashlib
@@ -31,8 +32,9 @@ from kinkeq.worked_examples import (
 
 from oracles import random_int_matrix, random_sym, random_sym_rational
 
-DIGEST = "41c1300360c43d3e96ced36edffd75dd45c418b6661cd1453af42f8f4f329019"
-MATRIX_DIGEST = "02e03595677559590c3c23cabddfa0016bd8419d46e5fa2f0a851ae2b84254af"
+DIGEST = "aa2716b51c3b46326f4c06f2fa4eec1bde650758473cc68762e9a587325a6e92"
+MATRIX_DIGEST = "d64aaee85ee506c6b77029d7e01df2d7407c4edd525987ec0ffd162fd5ee3257"
+START_END_DIGEST = "338e07167c446a9cad8f9f0a471ad50a574c5034cb354f0ba5f34a762f9fe851"
 
 
 def _certificates():
@@ -71,3 +73,11 @@ def test_matrix_text_digest():
             if isinstance(move, Congruence):
                 digest.update(serialize_int_matrix(move.matrix).encode("utf-8"))
     assert digest.hexdigest() == MATRIX_DIGEST
+
+
+def test_start_end_digest():
+    digest = hashlib.sha256()
+    for trace in _certificates():
+        for G in (trace.start, trace.end):
+            digest.update(serialize_matrix(G).encode("utf-8"))
+    assert digest.hexdigest() == START_END_DIGEST

@@ -199,21 +199,15 @@ REPORT_BLOWUP_HYPERBOLIC = (
     "--- trace (target neg_definite) ---\n"
     "trace\n"
     "0 1;1 0\n"
-    "congr 1 1;-1 0\n"
     "kink -1\n"
-    "congr 1 0 1;0 1 0;0 0 1\n"
-    "congr 1 0 0;1 1 0;1 0 1\n"
-    "congr 0 1 0;0 0 1;1 0 0\n"
+    "congr 0 1 1;1 1 2;1 1 1\n"
     "unkink +1\n"
     "end -1 -1;-1 -2\n"
     "--- trace (target pos_definite) ---\n"
     "trace\n"
     "0 1;1 0\n"
-    "congr 1 -1;1 0\n"
     "kink +1\n"
-    "congr 1 0 1;0 1 0;0 0 1\n"
-    "congr 1 0 0;-1 1 0;1 0 1\n"
-    "congr 0 1 0;0 0 1;1 0 0\n"
+    "congr 0 1 -1;1 -1 2;1 -1 1\n"
     "unkink -1\n"
     "end 1 -1;-1 2\n"
 )

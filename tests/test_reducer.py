@@ -20,6 +20,7 @@ from kinkeq import (
     Unkink,
     count_moves,
     determinant,
+    extend_primitive,
     find_positive_vector,
     four_squares,
     inertia,
@@ -30,12 +31,14 @@ from kinkeq import (
     verify_trace,
 )
 from kinkeq.errors import (
+    InternalError,
     KinkEqError,
     NonpositiveCorner,
     NoPositiveEigenvalue,
     SingularForDefiniteTarget,
 )
 from kinkeq.exact import diagonalizing_congruence
+from kinkeq.formats import parse_trace, serialize_trace
 from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX
 
 from oracles import quadratic_value, random_sym, random_sym_rational
@@ -182,8 +185,8 @@ def _rounds(G):
 
 def _check_rounds(G):
     """One round per positive eigenvalue; each drops n_plus by exactly one,
-    uses at most 4 negative kinks (5 for rational input) and ends in its
-    only unkink, an ``Unkink(1)``."""
+    uses at most 4 negative kinks (5 for rational input) and is its kinks,
+    all ``Kink(-1)``, then at most one congruence, then one ``Unkink(1)``."""
     rounds = _rounds(G)
     assert len(rounds) == inertia(G).n_plus
     budget = 4 if G.is_integral() else 5
@@ -194,7 +197,10 @@ def _check_rounds(G):
         neg_kinks = count_moves(moves).neg_kinks
         assert neg_kinks <= budget
         assert after.n_minus == before.n_minus + neg_kinks
-        assert [m for m in moves if isinstance(m, Unkink)] == [Unkink(1)] == moves[-1:]
+        assert moves[:neg_kinks] == [Kink(-1)] * neg_kinks
+        middle = moves[neg_kinks:-1]
+        assert len(middle) <= 1 and all(isinstance(m, Congruence) for m in middle)
+        assert moves[-1] == Unkink(1)
     return rounds
 
 
@@ -309,3 +315,40 @@ class TestReduce:
         before = inertia(G)
         assert inertia(trace.end).n_plus == 0
         assert count_moves(trace.moves).neg_kinks <= 5 * before.n_plus
+
+    @pytest.mark.parametrize("target", [NEG_DEFINITE, POS_DEFINITE, NEG_SEMIDEFINITE, POS_SEMIDEFINITE])
+    def test_certificate_text_round_trip(self, target):
+        # each fused congruence is a dense "congr" line; read it back in process
+        rng = random.Random(17)
+        inputs = [random_sym(rng, rng.randint(1, 5), 6) for _ in range(12)]
+        inputs += [random_sym_rational(rng, rng.randint(1, 3), 4, 6) for _ in range(12)]
+        for G in inputs:
+            if target in (NEG_DEFINITE, POS_DEFINITE) and determinant(G) == 0:
+                continue
+            trace = reduce(G, target)
+            parsed = parse_trace(serialize_trace(trace))
+            assert parsed == trace
+            assert verify_trace(parsed).valid
+
+
+BIG = 10**5000  # past CPython's default int string-conversion limit (4300 digits)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Kink(BIG),
+        lambda: Unkink(-BIG),
+        lambda: four_squares(-BIG),
+        lambda: extend_primitive([2 * BIG, 0]),
+        lambda: integralize_first_row(SymMatrix.from_rows([[-BIG]])),
+        lambda: integralize_first_row(SymMatrix.from_rows([[Fraction(-BIG, 3)]])),
+        lambda: IntMatrix.from_rows([[1]], cols=BIG),
+    ],
+    ids=["kink", "unkink", "four_squares", "extend_primitive", "corner", "rational_corner", "cols"],
+)
+def test_errors_on_long_numbers_are_library_errors(call):
+    # the message writes the number with write_number, never with str
+    with pytest.raises(KinkEqError) as info:
+        call()
+    assert not isinstance(info.value, InternalError)
