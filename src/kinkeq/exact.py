@@ -12,6 +12,11 @@ as G is symmetric, by ``_row_product``, the one matrix product, which
 mirrors the unkink ``strip_block(sign)``: sign is the int +-1, den stays
 and the trailing row is (0, ..., 0, sign * den).
 
+Next to the move kernels sits one closed form that is not a move:
+``SymMatrix.unit_complement``, the form on the complement of a unit vector,
+by which the reducer gets each round's next matrix without replaying the
+round's own kinks, congruence and unkink.  The verifier never calls it.
+
 ``determinant``, ``inertia`` and ``diagonalizing_congruence`` use
 fraction-free (Bareiss) elimination on the lift, which skips two kinds of
 zeros of a sparse matrix, such as a banded Goeritz matrix:
@@ -104,6 +109,8 @@ class IntMatrix:
             data = tuple(tuple(map(index, row)) for row in rows)
         except TypeError:
             raise NotIntegerMatrix("entries must be integers") from None
+        if cols is not None and cols < 0:
+            raise SizeMismatch(f"{write_number(cols)} columns given, a matrix has at least 0")
         width = len(data[0]) if data else cols or 0
         if any(len(row) != width for row in data):
             raise SizeMismatch("ragged rows")
@@ -246,6 +253,39 @@ class SymMatrix:
 
     def neg(self) -> "SymMatrix":
         return SymMatrix(self.den, tuple(tuple(-x for x in row) for row in self.rows))
+
+    def unit_complement(self, squares: Sequence[int]) -> "SymMatrix":
+        """The form on u^perp in K = self (+) -I_t for the unit vector
+        u = e_0 + sum s_i e_(n-1+i), the s_i the t ``squares``.
+
+        The first row h must be integral with h_0 - sum s^2 = 1.  With
+        x_j = <e_j, u>, which is (h_1, ..., h_(n-1), -s_1, ..., -s_t), the
+        basis e_j - x_j u (j >= 1) of u^perp has the Gram matrix
+        K[1:, 1:] - x x^T, a rank-one update: the matrix that kinking t
+        times, the congruence with those rows and then u, and the unkink
+        [1] leave, with the same den.
+        """
+        d, first = self.den, self.rows[0]
+        if any(a % d for a in first):
+            raise InternalError(f"the first row is not integral over the den {write_number(d)}")
+        h = [a // d for a in first]
+        norm = h[0] - sum(s * s for s in squares)
+        if norm != 1:
+            raise InternalError(
+                f"<u, u> is {write_number(norm)}, not 1, for the corner {write_number(h[0])}"
+            )
+        x = h[1:] + [-s for s in squares]
+        dx = [d * v for v in x]
+        n1, t = len(h) - 1, len(squares)
+        kept = [row[1:] + (0,) * t for row in self.rows[1:]]
+        kept += [(0,) * (n1 + i) + (-d,) + (0,) * (t - 1 - i) for i in range(t)]
+        return SymMatrix(
+            d,
+            tuple(
+                tuple(a - v * y for a, y in zip(row, dx)) if v else row
+                for row, v in zip(kept, x)
+            ),
+        )
 
 
 @dataclass(frozen=True)

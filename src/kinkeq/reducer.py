@@ -12,6 +12,11 @@ one congruence Q that makes every change of basis below, and one unkink:
 4. clear the first row/column with the 1, rotate it to the back, and strip
    it with a positive unkink.
 
+Steps 1 and 2 are replayed through ``moves.replay``.  Steps 3 and 4 are
+emitted as moves but not replayed: the round's vector u with <u, u> = 1
+gives the next matrix in closed form, the form on u^perp
+(``SymMatrix.unit_complement``), which equals what the moves leave.
+
 Iterating drives the positive index to zero; positive targets run the same
 machinery on -G and flip the signs of every kink and unkink in the result.
 Per eliminated eigenvalue the round spends at most four negative kinks
@@ -155,6 +160,11 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     C, the nonzero squares s of k - 1) has <u, u> = k - sum s^2 = 1.  Q maps
     each other row c of C (+) I to c - <c, u> u, orthogonal to u, and puts
     u last; <c, u> is the integer H[0, j], or -s for a square's row.
+
+    Only the vector move C and the integralization are replayed.  The next
+    matrix is the form on u^perp, read off H in closed form by
+    ``H.unit_complement(squares)``, which also guards <u, u> = 1; the
+    verifier alone checks the moves.
     """
     b = find_positive_vector(G)
     C = extend_primitive(b).transpose()  # first row b, so the corner is b^T G b
@@ -164,9 +174,6 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
         C = S.matmul(IntMatrix.from_rows([*(r + (0,) for r in C.entries), (0,) * C.cols + (1,)]))
     h = [x // H.den for x in H.rows[0]]  # integral after integralize_first_row
     squares = [s for s in four_squares(h[0] - 1) if s != 0]
-    norm = h[0] - sum(s * s for s in squares)  # <u, u>
-    if norm != 1:
-        raise InternalError(f"<u, u> is {write_number(norm)}, not 1, for the corner {write_number(h[0])}")
     t, u = len(squares), C.entries[0] + tuple(squares)
     m = len(u)
     basis = [row + (0,) * t for row in C.entries]
@@ -177,7 +184,7 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     if m > 1:  # Q is the identity only for the 1x1 corner [1]
         moves.append(Congruence(IntMatrix.from_rows(Q, cols=m)))
     moves.append(Unkink(1))
-    return replay(G, moves), moves
+    return H.unit_complement(squares), moves
 
 
 def _flip(move: Move) -> Move:

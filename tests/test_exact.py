@@ -9,19 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinkeq import (
+    Congruence,
     IntMatrix,
+    Kink,
     SymMatrix,
     Unkink,
     apply_move,
     congruence,
     determinant,
     extend_primitive,
+    find_positive_vector,
+    four_squares,
     inertia,
+    integralize_first_row,
     is_unimodular,
     primitive_scale,
+    replay,
 )
 from kinkeq.errors import (
     BadRational,
+    InternalError,
     NotIntegerMatrix,
     NotPrimitive,
     NotUnimodular,
@@ -44,6 +51,7 @@ from oracles import (
     random_banded_sym,
     random_int_matrix,
     random_sym,
+    random_sym_rational,
     random_unimodular,
 )
 
@@ -260,6 +268,76 @@ class TestBuilders:
         assert congruence(G, IntMatrix.rotation(n, k)) == SymMatrix.diagonal(values[k:] + values[:k])
 
 
+def _unit_corner(rng, n, t, rational):
+    """A seeded H with an integral first row and corner 1 + sum s^2, and
+    the t nonzero squares s."""
+    squares = [rng.randint(1, 9) for _ in range(t)]
+    G = random_sym_rational(rng, n, 6, 5) if rational else random_sym(rng, n, 6)
+    rows = [list(row) for row in G.entries]
+    for j in range(1, n):
+        rows[0][j] = rows[j][0] = rng.randint(-6, 6)
+    rows[0][0] = 1 + sum(s * s for s in squares)
+    return SymMatrix.from_rows(rows), squares
+
+
+def _unit_complement_by_moves(H, squares):
+    """The form on u^perp by the moves: t kinks [-1], the congruence R with
+    rows e_j - x_j u (j >= 1) and then u, and the unkink [1]."""
+    n, t = H.n, len(squares)
+    m = n + t
+    u = [1] + [0] * (n - 1) + list(squares)
+    x = [int(H[0, j]) for j in range(n)] + [-s for s in squares]
+    R = [[int(i == j) - x[i] * u[j] for j in range(m)] for i in range(1, m)] + [u]
+    return replay(H, [Kink(-1)] * t + [Congruence(IntMatrix.from_rows(R, cols=m)), Unkink(1)])
+
+
+class TestUnitComplement:
+    @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+    @pytest.mark.parametrize("t", range(5))
+    def test_equals_the_moves(self, t, rational):
+        rng = random.Random(100 * t + rational)
+        for n in [1, 2, 3, 4, 5] * 4:
+            H, squares = _unit_corner(rng, n, t, rational)
+            out = H.unit_complement(squares)
+            assert out == _unit_complement_by_moves(H, squares)
+            assert out.n == n - 1 + t and out.den == H.den
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+    def test_on_the_reducers_corners(self, rational):
+        # H and the squares built as an elimination round builds them
+        rng = random.Random(7 + rational)
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            G = random_sym_rational(rng, n, 6, 4) if rational else random_sym(rng, n, 6)
+            if inertia(G).n_plus == 0:
+                continue
+            C = extend_primitive(find_positive_vector(G)).transpose()
+            H, _ = integralize_first_row(replay(G, [Congruence(C)]))
+            squares = [s for s in four_squares(int(H[0, 0]) - 1) if s]
+            assert H.unit_complement(squares) == _unit_complement_by_moves(H, squares)
+
+    def test_unit_corner_leaves_the_empty_matrix(self):
+        assert SymMatrix.from_rows([[1]]).unit_complement([]) == SymMatrix.empty()
+
+    @pytest.mark.parametrize(
+        "H, squares",
+        [
+            (SymMatrix.from_rows([[Fraction(3, 2), 0], [0, 1]]), []),
+            (SymMatrix.from_rows([[2, Fraction(1, 2)], [Fraction(1, 2), 1]]), [1]),
+            (SymMatrix.from_rows([[Fraction(1, 10**5000)]]), []),
+            (SymMatrix.from_rows([[3]]), [1]),
+            (SymMatrix.from_rows([[5, 1], [1, 0]]), [1, 1]),
+            (SymMatrix.from_rows([[10**5000]]), []),
+            (SymMatrix.from_rows([[10**5000 + 2]]), [10**2500]),
+        ],
+        ids=["corner", "off-diagonal", "long-den", "norm", "norm-2x2", "long", "long-square"],
+    )
+    def test_refuses_what_is_not_a_unit_corner(self, H, squares):
+        # the numbers are written with write_number, so no ValueError escapes
+        with pytest.raises(InternalError):
+            H.unit_complement(squares)
+
+
 class TestSymMatrixEntries:
     BAD = [1.0, float("nan"), None, "1_0", "3"]
     IDS = ["float", "nan", "none", "underscore-str", "str"]
@@ -359,6 +437,20 @@ class TestIntMatrixFromRows:
     def test_rejects_disagreeing_cols(self):
         with pytest.raises(SizeMismatch):
             IntMatrix.from_rows([[1, 2]], cols=3)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: IntMatrix.from_rows([], cols=-2),
+            lambda: IntMatrix.identity(-3),
+            lambda: IntMatrix.shear(-1, {}),
+            lambda: IntMatrix.from_rows([], cols=-(10**5000)),
+        ],
+        ids=["from_rows", "identity", "shear", "long"],
+    )
+    def test_refuses_negative_sizes(self, call):
+        with pytest.raises(SizeMismatch):
+            call()
 
     def test_matmul_rejects_size_mismatch(self):
         with pytest.raises(SizeMismatch):

@@ -103,6 +103,21 @@ def test_moves_applied_in_one_place():
     assert MODULES and not found
 
 
+def test_verifier_never_uses_the_reducers_closed_form():
+    """``moves`` applies every move by its kernel and never reaches for
+    ``SymMatrix.unit_complement``, so the verifier stays independent of the
+    shortcut the reducer takes."""
+    tree = ast.parse((ROOT / "src" / "kinkeq" / "moves.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "unit_complement")
+        or (isinstance(node, ast.Name) and node.id == "unit_complement")
+        or (isinstance(node, ast.alias) and "unit_complement" in node.name)
+    ]
+    assert not found, found
+
+
 def test_matrices_built_only_in_exact():
     """Only ``exact`` calls the ``SymMatrix`` and ``IntMatrix`` constructors;
     everything else goes through their classmethods and the move kernels,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kinkeq.moves
 from kinkeq import (
     Congruence,
     IntMatrix,
@@ -18,6 +19,7 @@ from kinkeq import (
     POS_SEMIDEFINITE,
     SymMatrix,
     Unkink,
+    congruence,
     count_moves,
     determinant,
     extend_primitive,
@@ -329,6 +331,41 @@ class TestReduce:
             parsed = parse_trace(serialize_trace(trace))
             assert parsed == trace
             assert verify_trace(parsed).valid
+
+
+class TestCheckedCongruences:
+    """The reducer replays only each round's vector move, and for rational
+    input the integralization shear, through the checked congruence; the
+    rest of a round comes from ``SymMatrix.unit_complement``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(G, P):
+            calls.append(P)
+            return congruence(G, P)
+
+        monkeypatch.setattr(kinkeq.moves, "congruence", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_per_round(self, seed, calls):
+        rng = random.Random(seed)
+        for rational in (False, True):
+            n = rng.randint(1, 5)
+            G = random_sym_rational(rng, n, 4, 4) if rational else random_sym(rng, n, 6)
+            n_plus = inertia(G).n_plus
+            calls.clear()
+            trace = reduce(G, NEG_SEMIDEFINITE)
+            if rational:
+                assert len(calls) <= 2 * n_plus
+            else:
+                assert len(calls) == n_plus
+            # the verifier checks every Congruence move once
+            calls.clear()
+            assert verify_trace(trace).valid
+            assert len(calls) == count_moves(trace.moves).congruences
 
 
 BIG = 10**5000  # past CPython's default int string-conversion limit (4300 digits)
