@@ -13,9 +13,9 @@ mirrors the unkink ``strip_block(sign)``: sign is the int +-1, den stays
 and the trailing row is (0, ..., 0, sign * den).
 
 Next to the move kernels sits one closed form that is not a move:
-``SymMatrix.unit_complement``, the form on the complement of a unit vector,
-by which the reducer gets each round's next matrix without replaying the
-round's own kinks, congruence and unkink.  The verifier never calls it.
+``SymMatrix.unit_complement``, which splits off a unit vector, giving each
+reducer round its congruence Q and the form on the complement without
+replaying the round's kinks, Q and unkink.  The verifier never calls it.
 
 ``determinant``, ``inertia`` and ``diagonalizing_congruence`` use
 fraction-free (Bareiss) elimination on the lift, which skips two kinds of
@@ -95,6 +95,14 @@ def _write_long(x: int) -> str:
     return _write_long(high) + _write_long(low).zfill(k)
 
 
+def _read_index(x: int) -> int:
+    """A size or an index as an int, by ``operator.index``."""
+    try:
+        return index(x)
+    except TypeError:
+        raise NotIntegerMatrix(f"sizes and indices are integers, not {type(x).__name__}") from None
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Rectangular integer matrix; no symmetry assumed."""
@@ -127,10 +135,18 @@ class IntMatrix:
         """The n x n identity with the entries {(i, j): v} set.
 
         Entries on one side of the diagonal give a shear of determinant 1;
-        ``congruence`` checks any other pattern like every P.
+        ``congruence`` checks any other pattern like every P.  An (i, j)
+        outside the matrix is refused with ``SizeMismatch``.
         """
+        n = _read_index(n)
         rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for (i, j), v in entries.items():
+            i, j = _read_index(i), _read_index(j)
+            if not (0 <= i < n and 0 <= j < n):
+                raise SizeMismatch(
+                    f"entry ({write_number(i)}, {write_number(j)}) is outside"
+                    f" the {write_number(n)}x{write_number(n)} matrix"
+                )
             rows[i][j] = v
         return cls.from_rows(rows, cols=n)
 
@@ -138,6 +154,7 @@ class IntMatrix:
     def rotation(cls, n: int, k: int) -> "IntMatrix":
         """The permutation moving the first k of n coordinates to the back:
         row i is e_((i + k) mod n), so P G P^T puts those k coordinates last."""
+        n, k = _read_index(n), _read_index(k)
         return cls.from_rows(
             [[1 if j == (i + k) % n else 0 for j in range(n)] for i in range(n)], cols=n
         )
@@ -254,38 +271,43 @@ class SymMatrix:
     def neg(self) -> "SymMatrix":
         return SymMatrix(self.den, tuple(tuple(-x for x in row) for row in self.rows))
 
-    def unit_complement(self, squares: Sequence[int]) -> "SymMatrix":
-        """The form on u^perp in K = self (+) -I_t for the unit vector
-        u = e_0 + sum s_i e_(n-1+i), the s_i the t ``squares``.
+    def unit_complement(
+        self, basis: IntMatrix, squares: Sequence[int]
+    ) -> tuple[IntMatrix, "SymMatrix"]:
+        """Split u = (row 0 of basis, the t ``squares``) off F (+) -I_t, self
+        being the Gram matrix of the basis rows under F; return the congruence
+        Q of F (+) -I_t and the form on u^perp.
 
-        The first row h must be integral with h_0 - sum s^2 = 1.  With
-        x_j = <e_j, u>, which is (h_1, ..., h_(n-1), -s_1, ..., -s_t), the
-        basis e_j - x_j u (j >= 1) of u^perp has the Gram matrix
-        K[1:, 1:] - x x^T, a rank-one update: the matrix that kinking t
-        times, the congruence with those rows and then u, and the unkink
-        [1] leave, with the same den.
+        The first row h must be integral with h_0 - sum s^2 = 1: <u, u> = 1.
+        With x_j = <c_j, u>, which is (h_1, ..., h_(n-1), -s_1, ..., -s_t) for
+        the rows c_j (j >= 1) of basis (+) I_t, Q has the rows c_j - x_j u of
+        u^perp and then u.  With K = self (+) -I_t, their Gram matrix is the
+        rank-one update K[1:, 1:] - x x^T, with the same den: what t kinks
+        [-1], Q and the unkink [1] leave of F.
         """
-        d, first = self.den, self.rows[0]
-        if any(a % d for a in first):
+        n, d = self.n, self.den
+        if not n:
+            raise InternalError("the empty matrix has no corner")
+        if basis.rows != n or basis.cols != n:
+            raise SizeMismatch(f"the basis is {basis.rows}x{basis.cols}, the matrix is {n}x{n}")
+        if any(a % d for a in self.rows[0]):
             raise InternalError(f"the first row is not integral over the den {write_number(d)}")
-        h = [a // d for a in first]
+        h = [a // d for a in self.rows[0]]
         norm = h[0] - sum(s * s for s in squares)
         if norm != 1:
             raise InternalError(
                 f"<u, u> is {write_number(norm)}, not 1, for the corner {write_number(h[0])}"
             )
-        x = h[1:] + [-s for s in squares]
+        x, t = h[1:] + [-s for s in squares], len(squares)
+        pad, u = (0,) * t, basis.entries[0] + tuple(squares)
+        units = [(0,) * (n + i) + (1,) + (0,) * (t - 1 - i) for i in range(t)]
+        c = [row + pad for row in basis.entries[1:]] + units
+        Q = [tuple(a - v * y for a, y in zip(row, u)) for row, v in zip(c, x)] + [u]
+        kept = [row[1:] + pad for row in self.rows[1:]]
+        kept += [(0,) * (n - 1 + i) + (-d,) + (0,) * (t - 1 - i) for i in range(t)]
         dx = [d * v for v in x]
-        n1, t = len(h) - 1, len(squares)
-        kept = [row[1:] + (0,) * t for row in self.rows[1:]]
-        kept += [(0,) * (n1 + i) + (-d,) + (0,) * (t - 1 - i) for i in range(t)]
-        return SymMatrix(
-            d,
-            tuple(
-                tuple(a - v * y for a, y in zip(row, dx)) if v else row
-                for row, v in zip(kept, x)
-            ),
-        )
+        after = tuple(tuple(a - v * y for a, y in zip(r, dx)) if v else r for r, v in zip(kept, x))
+        return IntMatrix(n + t, n + t, tuple(Q)), SymMatrix(d, after)
 
 
 @dataclass(frozen=True)
@@ -607,6 +629,9 @@ def primitive_scale(u: Sequence) -> tuple[int, ...]:
     the resulting entries.  The scale factor is positive, so sign(b^T G b)
     matches sign(u^T G u) for every G.
     """
+    bad = [x for x in u if not isinstance(x, (int, Fraction))]
+    if bad:
+        raise BadRational(f"entries must be int or Fraction, got {type(bad[0]).__name__}")
     v = [Fraction(x) for x in u]
     if not v or all(x == 0 for x in v):
         raise ZeroVector("cannot normalize the zero vector")

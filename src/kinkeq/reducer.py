@@ -13,9 +13,10 @@ one congruence Q that makes every change of basis below, and one unkink:
    it with a positive unkink.
 
 Steps 1 and 2 are replayed through ``moves.replay``.  Steps 3 and 4 are
-emitted as moves but not replayed: the round's vector u with <u, u> = 1
-gives the next matrix in closed form, the form on u^perp
-(``SymMatrix.unit_complement``), which equals what the moves leave.
+emitted as moves but not replayed: one kernel,
+``SymMatrix.unit_complement``, splits off the round's vector u with
+<u, u> = 1 and returns both the congruence Q of step 4 and the next matrix,
+the form on u^perp, which equals what the moves leave.
 
 Iterating drives the positive index to zero; positive targets run the same
 machinery on -G and flip the signs of every kink and unkink in the result.
@@ -26,7 +27,7 @@ Per eliminated eigenvalue the round spends at most four negative kinks
 from __future__ import annotations
 
 from math import gcd, isqrt
-from operator import mul
+from operator import index, mul
 
 from .errors import (
     InternalError,
@@ -59,6 +60,10 @@ def four_squares(k: int) -> tuple[int, int, int, int]:
     Returns the lexicographically greatest such tuple, found by descending
     search on (a, b, c); existence is classical, so the search always hits.
     """
+    try:
+        k = index(k)
+    except TypeError:
+        raise KinkEqError(f"four_squares needs an integer, got {type(k).__name__}") from None
     if k < 0:
         raise KinkEqError(f"four_squares needs a nonnegative integer, got {write_number(k)}")
     for a in range(isqrt(k), -1, -1):
@@ -157,14 +162,13 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
 
     C has first row b, with the integralization shear fused in as
     S (C (+) [1]).  With <x, y> the form after the kinks, u = (first row of
-    C, the nonzero squares s of k - 1) has <u, u> = k - sum s^2 = 1.  Q maps
-    each other row c of C (+) I to c - <c, u> u, orthogonal to u, and puts
-    u last; <c, u> is the integer H[0, j], or -s for a square's row.
+    C, the nonzero squares s of k - 1) has <u, u> = k - sum s^2 = 1.
+    ``H.unit_complement(C, squares)`` splits u off from one set of pairings
+    <c, u>: it returns Q, which maps each other row c of C (+) I to
+    c - <c, u> u and puts u last, and the next matrix, the form on u^perp.
 
-    Only the vector move C and the integralization are replayed.  The next
-    matrix is the form on u^perp, read off H in closed form by
-    ``H.unit_complement(squares)``, which also guards <u, u> = 1; the
-    verifier alone checks the moves.
+    Only the vector move C and the integralization are replayed.  The kernel
+    guards <u, u> = 1; the verifier alone checks the moves.
     """
     b = find_positive_vector(G)
     C = extend_primitive(b).transpose()  # first row b, so the corner is b^T G b
@@ -172,19 +176,14 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     if moves:  # rational input: the kink [-1] stays, its shear S is fused into C
         S = moves.pop().matrix
         C = S.matmul(IntMatrix.from_rows([*(r + (0,) for r in C.entries), (0,) * C.cols + (1,)]))
-    h = [x // H.den for x in H.rows[0]]  # integral after integralize_first_row
-    squares = [s for s in four_squares(h[0] - 1) if s != 0]
-    t, u = len(squares), C.entries[0] + tuple(squares)
-    m = len(u)
-    basis = [row + (0,) * t for row in C.entries]
-    basis += [tuple(int(j == i) for j in range(m)) for i in range(m - t, m)]
-    pairing = h + [-s for s in squares]  # <c, u> for each row c of basis
-    Q = [[a - x * y for a, y in zip(c, u)] for c, x in zip(basis[1:], pairing[1:])] + [u]
-    moves += [Kink(-1)] * t
-    if m > 1:  # Q is the identity only for the 1x1 corner [1]
-        moves.append(Congruence(IntMatrix.from_rows(Q, cols=m)))
+    k = H.rows[0][0] // H.den  # the corner, integral after integralize_first_row
+    squares = [s for s in four_squares(k - 1) if s != 0]
+    Q, after = H.unit_complement(C, squares)
+    moves += [Kink(-1)] * len(squares)
+    if Q.rows > 1:  # Q is the identity only for the 1x1 corner [1]
+        moves.append(Congruence(Q))
     moves.append(Unkink(1))
-    return H.unit_complement(squares), moves
+    return after, moves
 
 
 def _flip(move: Move) -> Move:

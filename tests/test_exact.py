@@ -261,6 +261,25 @@ class TestBuilders:
         assert IntMatrix.rotation(4, 0) == IntMatrix.identity(4)
         assert IntMatrix.rotation(0, 0) == IntMatrix.identity(0)
 
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: IntMatrix.shear(2, {(5, 5): 1}), SizeMismatch),
+            (lambda: IntMatrix.shear(-1, {(0, 0): 1}), SizeMismatch),
+            (lambda: IntMatrix.shear(2, {(10**5000, 0): 1}), SizeMismatch),
+            (lambda: IntMatrix.shear(2, {(-1, 0): 3}), SizeMismatch),
+            (lambda: IntMatrix.shear(2, {(0.5, 0): 1}), NotIntegerMatrix),
+            (lambda: IntMatrix.identity(2.0), NotIntegerMatrix),
+            (lambda: IntMatrix.rotation(3, 1.5), NotIntegerMatrix),
+        ],
+        ids=["past-end", "negative-size", "long-index", "negative-index", "float-index",
+             "float-size", "float-shift"],
+    )
+    def test_refuses_what_is_not_an_index(self, call, error):
+        # the numbers are written with write_number, so no ValueError escapes
+        with pytest.raises(error):
+            call()
+
     @pytest.mark.parametrize("n, k", [(1, 1), (3, 1), (5, 2), (6, 3)])
     def test_rotation_moves_leading_coordinates_last(self, n, k):
         G = SymMatrix.diagonal(list(range(1, n + 1)))
@@ -281,14 +300,28 @@ def _unit_corner(rng, n, t, rational):
 
 
 def _unit_complement_by_moves(H, squares):
-    """The form on u^perp by the moves: t kinks [-1], the congruence R with
-    rows e_j - x_j u (j >= 1) and then u, and the unkink [1]."""
+    """The hand-built Q for the identity basis, the congruence R with rows
+    e_j - x_j u (j >= 1) and then u, and the form on u^perp by the moves:
+    t kinks [-1], R and the unkink [1]."""
     n, t = H.n, len(squares)
     m = n + t
     u = [1] + [0] * (n - 1) + list(squares)
     x = [int(H[0, j]) for j in range(n)] + [-s for s in squares]
     R = [[int(i == j) - x[i] * u[j] for j in range(m)] for i in range(1, m)] + [u]
-    return replay(H, [Kink(-1)] * t + [Congruence(IntMatrix.from_rows(R, cols=m)), Unkink(1)])
+    R = IntMatrix.from_rows(R, cols=m)
+    return R, replay(H, [Kink(-1)] * t + [Congruence(R), Unkink(1)])
+
+
+def _round_basis(G):
+    """H, the fused basis and the integralization kinks of an elimination
+    round on G, built as the round builds them."""
+    C = extend_primitive(find_positive_vector(G)).transpose()
+    H, moves = integralize_first_row(replay(G, [Congruence(C)]))
+    if not moves:
+        return H, C, []
+    S = moves[1].matrix
+    lifted = [list(row) + [0] for row in C.entries] + [[0] * C.cols + [1]]
+    return H, S.matmul(IntMatrix.from_rows(lifted)), [Kink(-1)]
 
 
 class TestUnitComplement:
@@ -298,8 +331,8 @@ class TestUnitComplement:
         rng = random.Random(100 * t + rational)
         for n in [1, 2, 3, 4, 5] * 4:
             H, squares = _unit_corner(rng, n, t, rational)
-            out = H.unit_complement(squares)
-            assert out == _unit_complement_by_moves(H, squares)
+            Q, out = H.unit_complement(IntMatrix.identity(n), squares)
+            assert (Q, out) == _unit_complement_by_moves(H, squares)
             assert out.n == n - 1 + t and out.den == H.den
 
     @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
@@ -314,10 +347,30 @@ class TestUnitComplement:
             C = extend_primitive(find_positive_vector(G)).transpose()
             H, _ = integralize_first_row(replay(G, [Congruence(C)]))
             squares = [s for s in four_squares(int(H[0, 0]) - 1) if s]
-            assert H.unit_complement(squares) == _unit_complement_by_moves(H, squares)
+            out = H.unit_complement(IntMatrix.identity(H.n), squares)
+            assert out == _unit_complement_by_moves(H, squares)
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+    def test_q_from_the_rounds_basis(self, rational):
+        # the basis part of Q, which an identity basis cannot show, checked
+        # by replaying the round's moves on G itself
+        rng = random.Random(11 + rational)
+        checked = 0
+        while checked < 25:
+            n = rng.randint(1, 3 if rational else 5)
+            G = random_sym_rational(rng, n, 6, 4) if rational else random_sym(rng, n, 6)
+            if inertia(G).n_plus == 0:
+                continue
+            H, basis, kinks = _round_basis(G)
+            squares = [s for s in four_squares(int(H[0, 0]) - 1) if s]
+            Q, out = H.unit_complement(basis, squares)
+            moves = kinks + [Kink(-1)] * len(squares) + [Congruence(Q), Unkink(1)]
+            assert replay(G, moves) == out
+            checked += 1
 
     def test_unit_corner_leaves_the_empty_matrix(self):
-        assert SymMatrix.from_rows([[1]]).unit_complement([]) == SymMatrix.empty()
+        one = IntMatrix.identity(1)
+        assert SymMatrix.from_rows([[1]]).unit_complement(one, []) == (one, SymMatrix.empty())
 
     @pytest.mark.parametrize(
         "H, squares",
@@ -329,13 +382,30 @@ class TestUnitComplement:
             (SymMatrix.from_rows([[5, 1], [1, 0]]), [1, 1]),
             (SymMatrix.from_rows([[10**5000]]), []),
             (SymMatrix.from_rows([[10**5000 + 2]]), [10**2500]),
+            (SymMatrix.empty(), []),
         ],
-        ids=["corner", "off-diagonal", "long-den", "norm", "norm-2x2", "long", "long-square"],
+        ids=[
+            "corner", "off-diagonal", "long-den", "norm", "norm-2x2", "long", "long-square",
+            "empty",
+        ],
     )
     def test_refuses_what_is_not_a_unit_corner(self, H, squares):
         # the numbers are written with write_number, so no ValueError escapes
         with pytest.raises(InternalError):
-            H.unit_complement(squares)
+            H.unit_complement(IntMatrix.identity(H.n), squares)
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            IntMatrix.identity(1),
+            IntMatrix.identity(3),
+            IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]),
+        ],
+        ids=["smaller", "larger", "not-square"],
+    )
+    def test_refuses_a_basis_of_another_size(self, basis):
+        with pytest.raises(SizeMismatch):
+            SymMatrix.from_rows([[2, 0], [0, -1]]).unit_complement(basis, [1])
 
 
 class TestSymMatrixEntries:
@@ -541,10 +611,18 @@ class TestPrimitiveScale:
         assert primitive_scale((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
         assert primitive_scale((2, 4)) == (1, 2)
         assert primitive_scale((0, Fraction(-5, 3))) == (0, -1)
+        assert primitive_scale((True, 2)) == (1, 2)  # a bool is an int
 
     def test_rejects_zero(self):
         with pytest.raises(ZeroVector):
             primitive_scale((0, 0))
+
+    @pytest.mark.parametrize(
+        "u", [(0.5, 0.25), ("1/2", "1/3"), (float("nan"),)], ids=["float", "str", "nan"]
+    )
+    def test_takes_only_numbers(self, u):
+        with pytest.raises(BadRational):
+            primitive_scale(u)
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -49,7 +49,13 @@ from oracles import quadratic_value, random_sym, random_sym_rational
 class TestFourSquares:
     @pytest.mark.parametrize(
         "k,expected",
-        [(0, (0, 0, 0, 0)), (4, (2, 0, 0, 0)), (7, (2, 1, 1, 1)), (1, (1, 0, 0, 0))],
+        [
+            (0, (0, 0, 0, 0)),
+            (4, (2, 0, 0, 0)),
+            (7, (2, 1, 1, 1)),
+            (1, (1, 0, 0, 0)),
+            (True, (1, 0, 0, 0)),  # a bool is an int
+        ],
     )
     def test_examples(self, k, expected):
         assert four_squares(k) == expected
@@ -57,6 +63,11 @@ class TestFourSquares:
     def test_rejects_negative(self):
         with pytest.raises(KinkEqError):
             four_squares(-1)
+
+    @pytest.mark.parametrize("k", [1.5, "5", Fraction(5)], ids=["float", "str", "fraction"])
+    def test_takes_only_integers(self, k):
+        with pytest.raises(KinkEqError):
+            four_squares(k)
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(min_value=0, max_value=100000))
