@@ -103,6 +103,35 @@ def _read_index(x: int) -> int:
         raise NotIntegerMatrix(f"sizes and indices are integers, not {type(x).__name__}") from None
 
 
+def _read_int_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """Rows of integer entries, each read by ``operator.index``; anything
+    that is not rows of integers raises ``NotIntegerMatrix``."""
+    try:
+        return tuple(tuple(map(index, row)) for row in rows)
+    except TypeError:
+        raise NotIntegerMatrix("entries must be integers") from None
+
+
+def _lift_rows(rows: Iterable[Iterable]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The least d > 0 with d * rows integral, and the integer rows of d * rows.
+
+    All-``int`` rows are their own lift, with d = 1.  Any other entry (a
+    Fraction, a bool, or a type refused with ``BadRational``, as are rows
+    that are not iterable) is lifted from its numerator and denominator.
+    """
+    try:
+        data = tuple(map(tuple, rows))
+    except TypeError:
+        raise BadRational("expected rows of int or Fraction entries") from None
+    if set(map(type, chain.from_iterable(data))) <= {int}:
+        return 1, data
+    bad = [x for row in data for x in row if not isinstance(x, (int, Fraction))]
+    if bad:
+        raise BadRational(f"entries must be int or Fraction, got {type(bad[0]).__name__}")
+    den = lcm(*{x.denominator for row in data for x in row})
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Rectangular integer matrix; no symmetry assumed."""
@@ -113,12 +142,11 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        try:
-            data = tuple(tuple(map(index, row)) for row in rows)
-        except TypeError:
-            raise NotIntegerMatrix("entries must be integers") from None
-        if cols is not None and cols < 0:
-            raise SizeMismatch(f"{write_number(cols)} columns given, a matrix has at least 0")
+        data = _read_int_rows(rows)
+        if cols is not None:
+            cols = _read_index(cols)
+            if cols < 0:
+                raise SizeMismatch(f"{write_number(cols)} columns given, a matrix has at least 0")
         width = len(data[0]) if data else cols or 0
         if any(len(row) != width for row in data):
             raise SizeMismatch("ragged rows")
@@ -136,12 +164,16 @@ class IntMatrix:
 
         Entries on one side of the diagonal give a shear of determinant 1;
         ``congruence`` checks any other pattern like every P.  An (i, j)
-        outside the matrix is refused with ``SizeMismatch``.
+        outside the matrix, or a key that is not a pair, is refused with
+        ``SizeMismatch``.
         """
         n = _read_index(n)
         rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), v in entries.items():
-            i, j = _read_index(i), _read_index(j)
+        for key, v in entries.items():
+            try:
+                i, j = map(_read_index, key)
+            except (TypeError, ValueError):
+                raise SizeMismatch("an entry is keyed by an index pair (i, j)") from None
             if not (0 <= i < n and 0 <= j < n):
                 raise SizeMismatch(
                     f"entry ({write_number(i)}, {write_number(j)}) is outside"
@@ -191,25 +223,11 @@ class SymMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "SymMatrix":
-        """The matrix of int or Fraction entries ``rows``.
-
-        When every entry has type exactly ``int``, the rows are the lift
-        with den 1.  Any other entry (a Fraction, a bool, or a type refused
-        with ``BadRational``) sends the rows down the general path, which
-        lifts each entry from its numerator and denominator.  Both paths
-        check squareness and symmetry alike.
-        """
-        data = tuple(map(tuple, rows))
-        n = len(data)
-        if set(map(type, chain.from_iterable(data))) <= {int}:
-            den, lift = 1, data
-        else:
-            bad = [x for row in data for x in row if not isinstance(x, (int, Fraction))]
-            if bad:
-                raise BadRational(f"entries must be int or Fraction, got {type(bad[0]).__name__}")
-            den = lcm(*{x.denominator for row in data for x in row})
-            lift = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
-        if any(len(row) != n for row in data):
+        """The matrix of int or Fraction entries ``rows``, read by
+        ``_lift_rows``; the lift is then checked square and symmetric."""
+        den, lift = _lift_rows(rows)
+        n = len(lift)
+        if any(len(row) != n for row in lift):
             raise SizeMismatch("matrix is not square")
         if tuple(zip(*lift)) != lift:
             i, j = next((i, j) for i in range(n) for j in range(i) if lift[i][j] != lift[j][i])
@@ -217,11 +235,11 @@ class SymMatrix:
         return cls(den, lift)
 
     @classmethod
-    def diagonal(cls, values: Sequence) -> "SymMatrix":
-        n = len(values)
-        return cls.from_rows(
-            [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+    def diagonal(cls, values: Iterable) -> "SymMatrix":
+        """The diagonal matrix of int or Fraction ``values``, read by ``_lift_rows``."""
+        den, (lift,) = _lift_rows([values])
+        n = len(lift)
+        return cls(den, tuple(tuple(lift[i] if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
     def empty(cls) -> "SymMatrix":
@@ -290,6 +308,7 @@ class SymMatrix:
             raise InternalError("the empty matrix has no corner")
         if basis.rows != n or basis.cols != n:
             raise SizeMismatch(f"the basis is {basis.rows}x{basis.cols}, the matrix is {n}x{n}")
+        (squares,) = _read_int_rows([squares])
         if any(a % d for a in self.rows[0]):
             raise InternalError(f"the first row is not integral over the den {write_number(d)}")
         h = [a // d for a in self.rows[0]]
@@ -587,10 +606,7 @@ def extend_primitive(b: Sequence[int]) -> IntMatrix:
     by elementary integer row operations (extended-gcd pairs), accumulating
     the inverse of each step, so P carries an explicit certificate.
     """
-    try:
-        b = [index(x) for x in b]
-    except TypeError:
-        raise NotIntegerMatrix("entries must be integers") from None
+    (b,) = _read_int_rows([b])
     n = len(b)
     if n == 0 or all(x == 0 for x in b):
         raise ZeroVector("cannot extend the zero vector")
@@ -613,7 +629,6 @@ def extend_primitive(b: Sequence[int]) -> IntMatrix:
             p[r][0] = c0 * inv00 + ci * inv10
             p[r][i] = c0 * inv01 + ci * inv11
         lead = g
-        b[i] = 0
     if lead == -1:
         for r in range(n):
             p[r][0] = -p[r][0]
@@ -625,18 +640,13 @@ def extend_primitive(b: Sequence[int]) -> IntMatrix:
 def primitive_scale(u: Sequence) -> tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive integer vector.
 
-    Multiplies by the lcm of the denominators, then divides by the gcd of
-    the resulting entries.  The scale factor is positive, so sign(b^T G b)
-    matches sign(u^T G u) for every G.
+    Lifts u by ``_lift_rows`` (the lcm of the denominators), then divides
+    by the gcd of the resulting entries.  The scale factor is positive, so
+    sign(b^T G b) matches sign(u^T G u) for every G.
     """
-    bad = [x for x in u if not isinstance(x, (int, Fraction))]
-    if bad:
-        raise BadRational(f"entries must be int or Fraction, got {type(bad[0]).__name__}")
-    v = [Fraction(x) for x in u]
-    if not v or all(x == 0 for x in v):
+    _, (ints,) = _lift_rows([u])
+    if not any(ints):
         raise ZeroVector("cannot normalize the zero vector")
-    d = lcm(*[x.denominator for x in v])
-    ints = [int(x * d) for x in v]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 

@@ -34,6 +34,12 @@ from .exact import (
 class Congruence:
     matrix: IntMatrix
 
+    def __post_init__(self):
+        if not isinstance(self.matrix, IntMatrix):
+            raise KinkEqError(
+                f"a congruence matrix is an IntMatrix, got {type(self.matrix).__name__}"
+            )
+
 
 def _check_sign(kind: str, sign: int) -> None:
     if not isinstance(sign, int) or sign not in (1, -1):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -525,6 +525,81 @@ class TestIntMatrixFromRows:
     def test_matmul_rejects_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             IntMatrix.identity(2).matmul(IntMatrix.identity(3))
+
+
+class TestReaders:
+    """Sizes and indices, integer rows and rational rows each have one
+    reader in ``exact``; what it refuses is refused by every constructor
+    and builder that reads through it."""
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: IntMatrix.from_rows([], cols=2.5), NotIntegerMatrix),
+            (lambda: IntMatrix.from_rows([], cols="2"), NotIntegerMatrix),
+            (lambda: IntMatrix.from_rows([[1, 2]], cols=2.0), NotIntegerMatrix),
+            (lambda: IntMatrix.from_rows(None), NotIntegerMatrix),
+            (lambda: IntMatrix.from_rows([1, 2]), NotIntegerMatrix),
+            (lambda: IntMatrix.shear(2, {5: 1}), SizeMismatch),
+            (lambda: IntMatrix.shear(2, {(0, 1, 2): 1}), SizeMismatch),
+            (lambda: IntMatrix.shear(2, {(0,): 1}), SizeMismatch),
+            (lambda: IntMatrix.shear(2, {(0, 1): 0.5}), NotIntegerMatrix),
+            (lambda: SymMatrix.from_rows(None), BadRational),
+            (lambda: SymMatrix.from_rows([1, 2]), BadRational),
+            (lambda: SymMatrix.diagonal(5), BadRational),
+            (lambda: SymMatrix.diagonal([1, 0.5]), BadRational),
+            (lambda: primitive_scale(None), BadRational),
+            (lambda: primitive_scale(5), BadRational),
+            (lambda: extend_primitive(None), NotIntegerMatrix),
+            (lambda: SymMatrix.from_rows([[2]]).unit_complement(
+                IntMatrix.identity(1), [Fraction(1)]), NotIntegerMatrix),
+            (lambda: SymMatrix.from_rows([[2]]).unit_complement(
+                IntMatrix.identity(1), ["1"]), NotIntegerMatrix),
+            (lambda: SymMatrix.from_rows([[2]]).unit_complement(
+                IntMatrix.identity(1), 1), NotIntegerMatrix),
+        ],
+        ids=[
+            "float-cols", "str-cols", "float-cols-matching", "none-rows", "int-rows",
+            "int-key", "triple-key", "single-key", "float-value", "sym-none", "sym-int-rows",
+            "diagonal-int", "diagonal-float", "scale-none", "scale-int",
+            "extend-none", "fraction-square", "str-square", "int-squares",
+        ],
+    )
+    def test_refusals_are_library_errors(self, call, error):
+        with pytest.raises(error):
+            call()
+
+    def test_accepted_values_keep_their_results(self):
+        # an index pair is any iterable of two indices, a row any iterable
+        assert IntMatrix.shear(2, {(True, 0): 3}) == IntMatrix.from_rows([[1, 0], [3, 1]])
+        assert IntMatrix.shear(2, {b"\x00\x01": 3}) == IntMatrix.from_rows([[1, 3], [0, 1]])
+        assert IntMatrix.from_rows([], cols=True) == IntMatrix.from_rows([], cols=1)
+        assert IntMatrix.from_rows(iter([range(2)])) == IntMatrix.from_rows([[0, 1]])
+        assert SymMatrix.diagonal([1, Fraction(1, 2)]) == SymMatrix.from_rows(
+            [[1, 0], [0, Fraction(1, 2)]]
+        )
+        assert SymMatrix.diagonal(()) == SymMatrix.empty()
+        H = SymMatrix.from_rows([[5, 1], [1, 0]])
+        Q, after = H.unit_complement(IntMatrix.identity(2), (True, 1, 1, 1))
+        assert (Q, after) == H.unit_complement(IntMatrix.identity(2), [1, 1, 1, 1])
+        # the squares are read as ints, so no bool reaches Q
+        assert all(type(x) is int for row in Q.entries for x in row)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(-99, 99), st.fractions(-9, 9, max_denominator=12)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_primitive_scale_is_the_fraction_scale(self, u):
+        # the lift of u equals the old Fraction path: int(x * lcm of the denominators)
+        if not any(u):
+            return
+        d = lcm(*(Fraction(x).denominator for x in u))
+        ints = [int(Fraction(x) * d) for x in u]
+        assert primitive_scale(u) == tuple(x // gcd(*ints) for x in ints)
 
 
 class TestMatmul:

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinkeq import Diagram, SymMatrix, determinant, goeritz_matrix, inertia, parse_diagram
-from kinkeq.errors import ParseError, RegionOutOfRange, SelfPairedCrossing
+from kinkeq.errors import (
+    NotIntegerMatrix,
+    ParseError,
+    RegionOutOfRange,
+    SelfPairedCrossing,
+    SizeMismatch,
+)
 from kinkeq.exact import Inertia, inertia_and_abs_det
 from kinkeq.formats import parse_matrix, serialize_matrix
 
@@ -51,6 +57,13 @@ class TestParseDiagram:
         with pytest.raises(ParseError):
             parse_diagram("regions 2\n0 1 x\n")
 
+    @pytest.mark.parametrize("line", ["1 2 + x", "0 1", "0 +", "0;1 +", "0 1 + +"])
+    def test_crossing_line_of_other_than_three_tokens(self, line):
+        with pytest.raises(ParseError) as exc:
+            parse_diagram(f"regions 3\n{line}\n")
+        assert str(exc.value) == "line 2: expected crossing line 'i j s'"
+        assert type(exc.value) is ParseError
+
 
 class TestGoeritzMatrix:
     def test_figure_matrix(self):
@@ -66,6 +79,56 @@ class TestGoeritzMatrix:
 
     def test_single_region_gives_empty(self):
         assert goeritz_matrix(Diagram(1, ())) == SymMatrix.empty()
+
+    @pytest.mark.parametrize(
+        "diagram, error",
+        [
+            (Diagram(3, ((-1, 1, 1),)), RegionOutOfRange),
+            (Diagram(3, ((0, 3, 1),)), RegionOutOfRange),
+            (Diagram(3, ((1, 1, 1),)), SelfPairedCrossing),
+            (Diagram(3, ((0, 1, 2),)), ParseError),
+            (Diagram(3, ((0, 1, 0),)), ParseError),
+            (Diagram(0, ()), ParseError),
+            (Diagram(-2, ()), ParseError),
+            (Diagram(2.5, ()), ParseError),
+            (Diagram(3, ((0, 1.5, 1),)), NotIntegerMatrix),
+            (Diagram(3, (("0", 1, 1),)), NotIntegerMatrix),
+            (Diagram(3, ((0, 1, 1.0),)), NotIntegerMatrix),
+            (Diagram(3, (None,)), NotIntegerMatrix),
+            (Diagram(3, ((0, 1),)), SizeMismatch),
+            (Diagram(3, ((0, 1, 1, 1),)), SizeMismatch),
+        ],
+        ids=[
+            "negative-label", "label-past-end", "self-paired", "double-sign", "zero-sign",
+            "no-regions", "negative-count", "float-count", "float-label", "str-label",
+            "float-sign", "none", "pair", "quadruple",
+        ],
+    )
+    def test_refuses_what_parse_diagram_refuses(self, diagram, error):
+        # a diagram built directly is checked like one read from text, with no line
+        with pytest.raises(error) as exc:
+            goeritz_matrix(diagram)
+        assert getattr(exc.value, "line", None) is None
+
+    def test_accepts_an_integer_diagram_as_before(self):
+        # bool labels and signs are ints, as when the crossings are summed
+        d = Diagram(3, ((True, 2, 1), (0, 2, -1), (0, 1, True)))
+        assert goeritz_matrix(d) == goeritz_matrix(Diagram(3, ((1, 2, 1), (0, 2, -1), (0, 1, 1))))
+        assert goeritz_matrix(Diagram(True, ())) == SymMatrix.empty()
+
+    def test_checks_match_parse_diagram(self):
+        # the same refusal, with the line number when read from text
+        for text, diagram in [
+            ("regions 3\n0 1 +\n2 5 -\n", Diagram(3, ((0, 1, 1), (2, 5, -1)))),
+            ("regions 3\n0 1 +\n2 2 -\n", Diagram(3, ((0, 1, 1), (2, 2, -1)))),
+            ("regions 0\n", Diagram(0, ())),
+        ]:
+            with pytest.raises(ParseError) as parsed:
+                parse_diagram(text)
+            with pytest.raises(ParseError) as built:
+                goeritz_matrix(diagram)
+            assert type(parsed.value) is type(built.value)
+            assert str(parsed.value) == f"line {parsed.value.line}: {built.value}"
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))

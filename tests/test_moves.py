@@ -65,6 +65,16 @@ class TestApplyMove:
         with pytest.raises(KinkEqError):
             Unkink(1.0)
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1, 0], [0, 1]], None, SymMatrix.from_rows([[1]]), ((1,),)],
+        ids=["list", "none", "sym-matrix", "tuple"],
+    )
+    def test_congruence_matrix_checked_at_construction(self, matrix):
+        # verify_trace reads matrix.rows, so only an IntMatrix may reach it
+        with pytest.raises(KinkEqError, match="^a congruence matrix is an IntMatrix, got "):
+            Congruence(matrix)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, -1]))
     def test_kink_unkink_roundtrip(self, seed, sign):

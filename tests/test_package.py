@@ -154,16 +154,21 @@ def test_traced_layers_exist():
     assert layers and not missing, missing
 
 
-def _looping_functions(is_update):
-    """Every function of ``exact`` by name, methods as ``Class.name``, and
-    the names of those that loop a node for which ``is_update`` holds."""
+def _exact_functions():
+    """Every function of ``exact`` by name, methods as ``Class.name``."""
     tree = ast.parse((ROOT / "src" / "kinkeq" / "exact.py").read_text(encoding="utf-8"))
-    functions = {
+    return {
         f"{scope.name}.{node.name}" if scope is not tree else node.name: node
         for scope in [tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))]
         for node in scope.body
         if isinstance(node, ast.FunctionDef)
     }
+
+
+def _looping_functions(is_update):
+    """Every function of ``exact`` by name, and the names of those that
+    loop a node for which ``is_update`` holds."""
+    functions = _exact_functions()
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     looping = {
         name
@@ -203,6 +208,51 @@ def test_one_bareiss_loop():
     assert looping == {"_bareiss_step"}, looping
     for caller in ("_eliminate", "_det_int"):
         assert _calls(functions[caller], "_bareiss_step"), caller
+
+
+def _uses(function, name):
+    """Whether ``function`` names ``name``, as a call or as an argument."""
+    return any(isinstance(node, ast.Name) and node.id == name for node in ast.walk(function))
+
+
+def _is_isinstance_of_fraction(node):
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and any(_uses(arg, "Fraction") for arg in node.args[1:])
+    )
+
+
+def test_one_reader_per_kind_of_number():
+    """``exact`` reads sizes and indices by ``_read_index``, integer rows by
+    ``_read_int_rows`` and rational rows by ``_lift_rows``: only the two
+    integer readers reach for ``operator.index``, only the lift tests
+    entries against ``(int, Fraction)`` (the kink kernels' int sign checks
+    are not entry reads), and every constructor and builder reads through
+    them, so a second hand-written check cannot come back unnoticed."""
+    functions = _exact_functions()
+    assert {name for name, f in functions.items() if _uses(f, "index")} == {
+        "_read_index",
+        "_read_int_rows",
+    }
+    testers = {
+        name
+        for name, f in functions.items()
+        if any(map(_is_isinstance_of_fraction, ast.walk(f)))
+    }
+    assert testers == {"_lift_rows"}, testers
+    readers = {
+        "_read_index": ["IntMatrix.from_rows", "IntMatrix.shear", "IntMatrix.rotation"],
+        "_read_int_rows": ["IntMatrix.from_rows", "extend_primitive", "SymMatrix.unit_complement"],
+        "_lift_rows": ["SymMatrix.from_rows", "SymMatrix.diagonal", "primitive_scale"],
+    }
+    missing = [
+        f"{caller} -> {reader}"
+        for reader, callers in readers.items()
+        for caller in callers
+        if not _uses(functions[caller], reader)
+    ]
+    assert not missing, missing
 
 
 def _is_product_term(node):
