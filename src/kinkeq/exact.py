@@ -6,16 +6,21 @@ rational matrix G is stored as its integer lift: the least d > 0 with d*G
 integral and the integer rows of d*G.  The 0x0 matrix is a legitimate
 value throughout, with determinant 1 and inertia (0, 0, 0).
 
-The moves act here.  ``congruence`` takes P (P dG)^T, which is P dG P^T
-as G is symmetric, by ``_row_product``, the one matrix product, which
-``IntMatrix.matmul`` shares.  The kink ``SymMatrix.block_sum(sign)``
+The moves act here.  ``SymMatrix.gram(P)`` is the one unchecked product:
+the Gram matrix P (dG (+) -d I_m) P^T of P's rows, by ``_row_product``,
+the one matrix product, which ``IntMatrix.matmul`` shares.  The checked
+congruence ``congruence(G, P)`` is its size and determinant checks
+followed by ``G.gram(P)``.  The kink ``SymMatrix.block_sum(sign)``
 mirrors the unkink ``strip_block(sign)``: sign is the int +-1, den stays
-and the trailing row is (0, ..., 0, sign * den).
+and the trailing row is (0, ..., 0, sign * den).  ``_block_sum_rows``
+builds every such padding.
 
-Next to the move kernels sits one closed form that is not a move:
-``SymMatrix.unit_complement``, which splits off a unit vector, giving each
-reducer round its congruence Q and the form on the complement without
-replaying the round's kinks, Q and unkink.  The verifier never calls it.
+Next to the move kernels sit the reducer's two unchecked kernels, which
+the verifier never calls: ``gram``, which gives each round its vector
+move and integralization without checking the basis change it built
+itself, and ``SymMatrix.unit_complement``, which splits off a unit
+vector, giving each round its congruence Q and the form on the
+complement without replaying the round's kinks, Q and unkink.
 
 ``determinant``, ``inertia`` and ``diagonalizing_congruence`` use
 fraction-free (Bareiss) elimination on the lift, which skips two kinds of
@@ -132,6 +137,23 @@ def _lift_rows(rows: Iterable[Iterable]) -> tuple[int, tuple[tuple[int, ...], ..
     return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
 
 
+def _require_int_matrix(P: object, what: str) -> None:
+    if not isinstance(P, IntMatrix):
+        raise NotIntegerMatrix(f"{what} is an IntMatrix, got {type(P).__name__}")
+
+
+def _block_sum_rows(rows: Sequence[tuple[int, ...]], v: int, m: int) -> list[tuple[int, ...]]:
+    """The rows of the square ``rows`` (+) v I_m: each row padded with m
+    zeros, then m rows (0, ..., 0, v, 0, ..., 0) with v on the diagonal."""
+    n = len(rows)
+    zero = (0,) * (n + m)
+    pad = zero[:m]
+    padded = [row + pad for row in rows]
+    for j in range(n, n + m):
+        padded.append(zero[:j] + (v,) + zero[j + 1 :])
+    return padded
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Rectangular integer matrix; no symmetry assumed."""
@@ -168,8 +190,14 @@ class IntMatrix:
         ``SizeMismatch``.
         """
         n = _read_index(n)
+        try:
+            items = entries.items()
+        except AttributeError:
+            raise NotIntegerMatrix(
+                f"shear entries are a mapping {{(i, j): v}}, not {type(entries).__name__}"
+            ) from None
         rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for key, v in entries.items():
+        for key, v in items:
             try:
                 i, j = map(_read_index, key)
             except (TypeError, ValueError):
@@ -203,6 +231,7 @@ class IntMatrix:
         )
 
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
+        _require_int_matrix(other, "a factor")
         if self.cols != other.rows:
             raise SizeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
         product = _row_product(self.entries, other.entries, other.cols)
@@ -266,9 +295,7 @@ class SymMatrix:
         if not isinstance(sign, int) or sign not in (1, -1):
             raise BadRational("a kink block is the int +1 or -1")
         # the added row is (0, ..., 0, +-den), so den stays least
-        rows = [row + (0,) for row in self.rows]
-        rows.append((0,) * self.n + (sign * self.den,))
-        return SymMatrix(self.den, tuple(rows))
+        return SymMatrix(self.den, tuple(_block_sum_rows(self.rows, sign * self.den, 1)))
 
     def strip_block(self, sign: int) -> "SymMatrix":
         """The unkink: drop a trailing block [sign], sign +-1; undoes ``block_sum(sign)``."""
@@ -303,6 +330,7 @@ class SymMatrix:
         rank-one update K[1:, 1:] - x x^T, with the same den: what t kinks
         [-1], Q and the unkink [1] leave of F.
         """
+        _require_int_matrix(basis, "the basis")
         n, d = self.n, self.den
         if not n:
             raise InternalError("the empty matrix has no corner")
@@ -317,16 +345,36 @@ class SymMatrix:
             raise InternalError(
                 f"<u, u> is {write_number(norm)}, not 1, for the corner {write_number(h[0])}"
             )
-        x, t = h[1:] + [-s for s in squares], len(squares)
-        pad, u = (0,) * t, basis.entries[0] + tuple(squares)
-        units = [(0,) * (n + i) + (1,) + (0,) * (t - 1 - i) for i in range(t)]
-        c = [row + pad for row in basis.entries[1:]] + units
+        x, u = h[1:] + [-s for s in squares], basis.entries[0] + tuple(squares)
+        c = _block_sum_rows(basis.entries, 1, len(squares))[1:]
         Q = [tuple(a - v * y for a, y in zip(row, u)) for row, v in zip(c, x)] + [u]
-        kept = [row[1:] + pad for row in self.rows[1:]]
-        kept += [(0,) * (n - 1 + i) + (-d,) + (0,) * (t - 1 - i) for i in range(t)]
+        kept = [row[1:] for row in _block_sum_rows(self.rows, -d, len(squares))[1:]]
         dx = [d * v for v in x]
         after = tuple(tuple(a - v * y for a, y in zip(r, dx)) if v else r for r, v in zip(kept, x))
-        return IntMatrix(n + t, n + t, tuple(Q)), SymMatrix(d, after)
+        return IntMatrix(len(Q), len(Q), tuple(Q)), SymMatrix(d, after)
+
+    def gram(self, P: IntMatrix) -> "SymMatrix":
+        """The Gram matrix of P's rows under self (+) -I_m, m = P.cols - n,
+        unchecked: for a unimodular P it is what m kinks [-1] and then
+        ``Congruence(P)`` leave, and ``congruence`` checks exactly that.
+
+        Works on the lift K = d (self (+) -I_m): P (P K)^T, which is P K P^T
+        because K is symmetric, by two row products over the nonzero entries
+        of P.  den stays least when P keeps the gcd of the entries, as a
+        unimodular P does; for any other P it is made least again.
+        """
+        _require_int_matrix(P, "P")
+        n, d = self.n, self.den
+        m = P.cols - n
+        if m < 0:
+            raise SizeMismatch(f"P has {P.cols} columns, fewer than the {n} of the matrix")
+        lift = _block_sum_rows(self.rows, -d, m) if m else self.rows
+        pk = _row_product(P.entries, lift, P.cols)
+        rows = _row_product(P.entries, tuple(zip(*pk)), P.rows)
+        g = gcd(d, *chain.from_iterable(rows)) if d > 1 else 1
+        if g > 1:
+            d, rows = d // g, tuple(tuple(x // g for x in row) for row in rows)
+        return SymMatrix(d, rows)
 
 
 @dataclass(frozen=True)
@@ -584,19 +632,15 @@ def _row_product(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]], 
 
 
 def congruence(G: SymMatrix, P: IntMatrix) -> SymMatrix:
-    """Return P G P^T for unimodular P of the same size as G.
-
-    Works on the integer lift: P (P dG)^T, which is P dG P^T because G is
-    symmetric, by two row products over the nonzero entries of P.
-    """
+    """Return P G P^T for unimodular P of the same size as G: the checked
+    move, which is its size and determinant checks and then ``G.gram(P)``."""
+    _require_int_matrix(P, "P")
     if P.rows != P.cols or P.rows != G.n:
         raise SizeMismatch(f"P is {P.rows}x{P.cols}, G is {G.n}x{G.n}")
     det = _det_int(P.entries)
     if det not in (1, -1):
         raise NotUnimodular(f"det(P) = {write_number(det)}")
-    pg = _row_product(P.entries, G.rows, G.n)
-    # P and its inverse are integral, so the entries keep their gcd and den stays least
-    return SymMatrix(G.den, _row_product(P.entries, tuple(zip(*pg)), G.n))
+    return G.gram(P)
 
 
 def extend_primitive(b: Sequence[int]) -> IntMatrix:

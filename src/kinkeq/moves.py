@@ -72,6 +72,14 @@ class Trace:
     moves: tuple[Move, ...]
     end: SymMatrix
 
+    def __post_init__(self):
+        if not (isinstance(self.start, SymMatrix) and isinstance(self.end, SymMatrix)):
+            raise KinkEqError("a trace starts and ends at a SymMatrix")
+        if not isinstance(self.moves, tuple) or not all(
+            isinstance(move, (Congruence, Kink, Unkink)) for move in self.moves
+        ):
+            raise KinkEqError("a trace's moves are a tuple of Congruence, Kink and Unkink")
+
 
 @dataclass(frozen=True)
 class StepAudit:
@@ -119,10 +127,10 @@ def _kind(move: Move) -> str:
 def verify_trace(trace: Trace) -> VerificationReport:
     """Replay a trace, checking every move precondition and the end matrix.
 
-    Never raises on a well-formed Trace value; failures are reported with
-    the first bad step index.  Each audit entry records inertia and |det|
-    after the step, both from one fresh elimination of the replayed matrix;
-    nullity and |det| are constant along valid traces.
+    Never raises, since a Trace checks its fields when it is built; failures
+    are reported with the first bad step index.  Each audit entry records
+    inertia and |det| after the step, both from one fresh elimination of the
+    replayed matrix; nullity and |det| are constant along valid traces.
     """
     current = trace.start
     steps = [StepAudit(-1, "start", current.n, *inertia_and_abs_det(current))]

@@ -12,9 +12,11 @@ one congruence Q that makes every change of basis below, and one unkink:
 4. clear the first row/column with the 1, rotate it to the back, and strip
    it with a positive unkink.
 
-Steps 1 and 2 are replayed through ``moves.replay``.  Steps 3 and 4 are
-emitted as moves but not replayed: one kernel,
-``SymMatrix.unit_complement``, splits off the round's vector u with
+The reducer builds every basis change itself, so it replays none of its
+moves through the checked path of ``moves``; the verifier alone checks
+them.  Steps 1 and 2 take their matrix from the unchecked product
+``SymMatrix.gram``.  Steps 3 and 4 come from one kernel,
+``SymMatrix.unit_complement``, which splits off the round's vector u with
 <u, u> = 1 and returns both the congruence Q of step 4 and the next matrix,
 the form on u^perp, which equals what the moves leave.
 
@@ -45,7 +47,7 @@ from .exact import (
     primitive_scale,
     write_number,
 )
-from .moves import Congruence, Kink, Move, Trace, Unkink, count_moves, replay
+from .moves import Congruence, Kink, Move, Trace, Unkink, count_moves
 
 NEG_DEFINITE = "neg_definite"
 POS_DEFINITE = "pos_definite"
@@ -142,7 +144,8 @@ def integralize_first_row(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     For corner k/d with d the lcm of the first-row denominators, kinks by
     [-1] and applies the determinant-1 congruence with rows (d, 0.., 1) /
     identity / (d-1, 0.., 1); the new corner d*k - 1 is a positive integer.
-    No-op when the first row is already integral.
+    No-op when the first row is already integral.  The matrix comes from
+    ``G.gram(P)``, unchecked: P is a shear of determinant 1.
     """
     n = G.n
     if n == 0 or G[0, 0] <= 0:
@@ -152,8 +155,7 @@ def integralize_first_row(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     if d == 1:
         return G, []
     P = IntMatrix.shear(n + 1, {(0, 0): d, (0, n): 1, (n, 0): d - 1})
-    moves: list[Move] = [Kink(-1), Congruence(P)]
-    return replay(G, moves), moves
+    return G.gram(P), [Kink(-1), Congruence(P)]
 
 
 def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
@@ -167,12 +169,13 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     <c, u>: it returns Q, which maps each other row c of C (+) I to
     c - <c, u> u and puts u last, and the next matrix, the form on u^perp.
 
-    Only the vector move C and the integralization are replayed.  The kernel
-    guards <u, u> = 1; the verifier alone checks the moves.
+    Nothing is replayed: the vector move and the integralization come from
+    the unchecked ``gram``, the rest from ``unit_complement``, which guards
+    <u, u> = 1; the verifier alone checks the moves.
     """
     b = find_positive_vector(G)
     C = extend_primitive(b).transpose()  # first row b, so the corner is b^T G b
-    H, moves = integralize_first_row(replay(G, [Congruence(C)]))
+    H, moves = integralize_first_row(G.gram(C))
     if moves:  # rational input: the kink [-1] stays, its shear S is fused into C
         S = moves.pop().matrix
         C = S.matmul(IntMatrix.from_rows([*(r + (0,) for r in C.entries), (0,) * C.cols + (1,)]))
@@ -202,6 +205,8 @@ def reduce(G: SymMatrix, target: str) -> Trace:
     most 4*n_plus(G) negative kinks (5*n_plus for non-integral G) and
     exactly n_plus(G) positive unkinks; symmetrically for positive targets.
     """
+    if not isinstance(G, SymMatrix):
+        raise KinkEqError(f"reduce needs a SymMatrix, got {type(G).__name__}")
     if target not in TARGETS:
         raise KinkEqError(f"unknown target {target!r}")
     if target in (POS_DEFINITE, POS_SEMIDEFINITE):

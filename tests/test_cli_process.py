@@ -60,3 +60,15 @@ def test_malformed_file_exits_2(tmp_path):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: ")
+
+
+def test_rational_round_trip_exits_0(tmp_path):
+    # rational input takes the reducer's integralization path every round
+    matrix = tmp_path / "q.sym"
+    matrix.write_text("sym 3\n1/2 1/3 0\n1/3 -1/5 2\n0 2 3/4\n", encoding="utf-8")
+    trace = tmp_path / "q-trace.txt"
+    result = _kinkeq("reduce", str(matrix), "--target", "neg", "--out", str(trace))
+    assert result.returncode == 0, result.stderr
+    result = _kinkeq("verify", str(trace))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("valid: 9 moves")

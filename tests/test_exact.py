@@ -219,6 +219,34 @@ class TestCongruence:
         assert abs(determinant(H)) == abs(determinant(G))
 
 
+class TestGram:
+    @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_equals_the_kinks_and_the_congruence(self, m, rational):
+        # for unimodular P, m kinks [-1] and then Congruence(P), replayed
+        rng = random.Random(f"gram-{m}-{rational}")
+        for n in [0, 1, 2, 3, 4, 5] * 5:
+            G = random_sym_rational(rng, n, 6, 4) if rational else random_sym(rng, n, 6)
+            steps = rng.choice([0, 2, 8, 24])
+            P = random_unimodular(rng, n + m, steps) if n + m else IntMatrix.identity(0)
+            assert G.gram(P) == replay(G, [Kink(-1)] * m + [Congruence(P)])
+
+    def test_any_rows_give_their_gram_matrix(self):
+        # three rows under diag(1/2, 1/3), and a P that doubles every entry:
+        # the den is made least again
+        G = SymMatrix.diagonal([Fraction(1, 2), Fraction(1, 3)])
+        P = IntMatrix.from_rows([[1, 0], [1, 1], [0, 3]])
+        assert G.gram(P) == SymMatrix.from_rows(
+            [
+                [Fraction(1, 2), Fraction(1, 2), 0],
+                [Fraction(1, 2), Fraction(5, 6), 1],
+                [0, 1, 3],
+            ]
+        )
+        doubled = SymMatrix.from_rows([[Fraction(1, 2)]]).gram(IntMatrix.from_rows([[2]]))
+        assert doubled == SymMatrix.from_rows([[2]]) and doubled.den == 1
+
+
 class TestRepresentation:
     """Every construction keeps den least: den > 0 and gcd(den, rows) = 1."""
 
@@ -566,6 +594,22 @@ class TestReaders:
         ],
     )
     def test_refusals_are_library_errors(self, call, error):
+        with pytest.raises(error):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: congruence(SymMatrix.from_rows([[1]]), [[1]]), NotIntegerMatrix),
+            (lambda: IntMatrix.from_rows([[1]]).matmul([[1]]), NotIntegerMatrix),
+            (lambda: SymMatrix.from_rows([[2]]).unit_complement(None, [1]), NotIntegerMatrix),
+            (lambda: IntMatrix.shear(2, None), NotIntegerMatrix),
+            (lambda: SymMatrix.from_rows([[1]]).gram([[1]]), NotIntegerMatrix),
+            (lambda: SymMatrix.diagonal([1, 2]).gram(IntMatrix.identity(1)), SizeMismatch),
+        ],
+        ids=["congruence", "matmul", "unit_complement", "shear", "gram-list", "gram-narrow"],
+    )
+    def test_kernels_check_their_arguments(self, call, error):
         with pytest.raises(error):
             call()
 

@@ -98,11 +98,27 @@ class TestVerifyTrace:
         assert report.failed_step == 0
 
     def test_unknown_move_reported(self):
+        # a Trace refuses a non-move when it is built; apply_move, which
+        # takes any value, reports it by name
         G = SymMatrix.from_rows([[7]])
-        report = verify_trace(Trace(G, ("twist",), G))
-        assert not report.valid
-        assert report.failed_step == 0
-        assert report.reason == "KinkEqError: unknown move 'twist'"
+        with pytest.raises(KinkEqError, match="tuple of Congruence, Kink and Unkink"):
+            Trace(G, ("twist",), G)
+        with pytest.raises(KinkEqError, match="unknown move 'twist'"):
+            apply_move(G, "twist")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (SymMatrix.empty(), None, SymMatrix.empty()),
+            (SymMatrix.empty(), [Kink(-1)], SymMatrix.empty()),
+            (None, (), SymMatrix.empty()),
+            (SymMatrix.empty(), (), [[1]]),
+        ],
+        ids=["moves_none", "moves_list", "start_none", "end_rows"],
+    )
+    def test_trace_checks_its_fields(self, fields):
+        with pytest.raises(KinkEqError):
+            verify_trace(Trace(*fields))
 
     def test_tampered_congruence_rejected(self):
         trace = five_to_minus_five_trace()

@@ -103,18 +103,37 @@ def test_moves_applied_in_one_place():
     assert MODULES and not found
 
 
+def _names(path, names):
+    """The lines at which the source of ``path`` names one of ``names``, as
+    a name, an attribute or an imported alias."""
+    return [
+        f"{path.name}:{getattr(node, 'lineno', 0)} {name}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in [
+            getattr(node, "id", None)
+            or getattr(node, "attr", None)
+            or (node.name if isinstance(node, ast.alias) else None)
+        ]
+        if name in names
+    ]
+
+
 def test_verifier_never_uses_the_reducers_closed_form():
     """``moves`` applies every move by its kernel and never reaches for
-    ``SymMatrix.unit_complement``, so the verifier stays independent of the
-    shortcut the reducer takes."""
-    tree = ast.parse((ROOT / "src" / "kinkeq" / "moves.py").read_text(encoding="utf-8"))
-    found = [
-        node.lineno
-        for node in ast.walk(tree)
-        if (isinstance(node, ast.Attribute) and node.attr == "unit_complement")
-        or (isinstance(node, ast.Name) and node.id == "unit_complement")
-        or (isinstance(node, ast.alias) and "unit_complement" in node.name)
-    ]
+    ``SymMatrix.unit_complement`` or the unchecked product
+    ``SymMatrix.gram``, so the verifier stays independent of the shortcuts
+    the reducer takes."""
+    found = _names(ROOT / "src" / "kinkeq" / "moves.py", {"unit_complement", "gram"})
+    assert not found, found
+
+
+def test_reducer_never_checks_its_own_moves():
+    """The reducer builds every basis change itself, so it never names the
+    checked move path: neither ``replay`` nor ``apply_move`` nor
+    ``congruence``."""
+    found = _names(
+        ROOT / "src" / "kinkeq" / "reducer.py", {"replay", "apply_move", "congruence"}
+    )
     assert not found, found
 
 
@@ -274,14 +293,21 @@ def _is_product_term(node):
 
 
 def test_one_matrix_product():
-    """``congruence`` and ``IntMatrix.matmul`` both call ``_row_product``,
-    and it is the only function in ``exact`` that loops a
+    """``SymMatrix.gram`` and ``IntMatrix.matmul`` both call
+    ``_row_product``, and it is the only function in ``exact`` that loops a
     multiply-accumulate, so a second matrix product cannot come back
-    unnoticed."""
+    unnoticed.  The checked ``congruence`` reaches it only through
+    ``gram``: its checks and then the one unchecked product."""
     functions, looping = _looping_functions(_is_product_term)
     assert looping == {"_row_product"}, looping
-    for caller in ("congruence", "IntMatrix.matmul"):
+    for caller in ("SymMatrix.gram", "IntMatrix.matmul"):
         assert _calls(functions[caller], "_row_product"), caller
+    congruence = functions["congruence"]
+    assert not _calls(congruence, "_row_product")
+    assert any(
+        isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "gram"
+        for node in ast.walk(congruence)
+    )
 
 
 def test_numbers_read_only_in_formats():
