@@ -94,7 +94,7 @@ def cct_search(G: SymMatrix) -> GramFactor | None:
     equal prefixes and nonnegative where the prefix is all zero, which
     makes the first solution found canonical.
     """
-    require_integral(G)
+    require_integral(G, "cct_search")
     sig = inertia(G)
     if sig.n_minus > 0:
         raise NotPositiveSemidefinite("matrix has a negative eigenvalue")
@@ -169,9 +169,9 @@ def reduce_binary_form(A: SymMatrix) -> tuple[SymMatrix, IntMatrix]:
     Returns (A', E) with A = E A' E^T, E unimodular, and A' = [[a, b], [b, c]]
     satisfying |b| <= a <= c and b >= 0 whenever a = |b| or a = c.
     """
+    require_integral(A, "reduce_binary_form")
     if A.n != 2:
         raise Not2x2(f"expected a 2x2 matrix, got {A.n}x{A.n}")
-    require_integral(A)
     (a, b), (_, c) = A.rows
     if a <= 0 or a * c - b * b <= 0:
         raise NotPositiveDefinite("matrix is not positive-definite")

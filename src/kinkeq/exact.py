@@ -56,6 +56,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     BadRational,
     InternalError,
+    KinkEqError,
     NotIntegerMatrix,
     NotPrimitive,
     NotUnimodular,
@@ -140,6 +141,12 @@ def _lift_rows(rows: Iterable[Iterable]) -> tuple[int, tuple[tuple[int, ...], ..
 def _require_int_matrix(P: object, what: str) -> None:
     if not isinstance(P, IntMatrix):
         raise NotIntegerMatrix(f"{what} is an IntMatrix, got {type(P).__name__}")
+
+
+def require_sym_matrix(G: object, what: str) -> None:
+    """The check on a ``SymMatrix`` argument of the function ``what``, where G enters."""
+    if not isinstance(G, SymMatrix):
+        raise KinkEqError(f"{what} needs a SymMatrix, got {type(G).__name__}")
 
 
 def _block_sum_rows(rows: Sequence[tuple[int, ...]], v: int, m: int) -> list[tuple[int, ...]]:
@@ -585,6 +592,7 @@ def inertia_and_abs_det(G: SymMatrix) -> tuple[Inertia, Fraction]:
     two integers.  The last pivot is det(d*G) up to sign, since the pivot
     moves are unimodular; when the elimination stops early G is singular.
     """
+    require_sym_matrix(G, "inertia_and_abs_det")
     n = G.n
     pivots = _eliminate([list(row) for row in G.rows])
     prevs = [1, *pivots]
@@ -601,6 +609,7 @@ def diagonalizing_congruence(G: SymMatrix) -> tuple[list[Fraction], list[list[Fr
     elimination on [d*G | I]: row p divided by prev_p gives D_p (over d) on
     the diagonal and L_p in the carried half.
     """
+    require_sym_matrix(G, "diagonalizing_congruence")
     n, d = G.n, G.den
     a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(G.rows)]
     pivots = _eliminate(a)
@@ -633,7 +642,8 @@ def _row_product(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]], 
 
 def congruence(G: SymMatrix, P: IntMatrix) -> SymMatrix:
     """Return P G P^T for unimodular P of the same size as G: the checked
-    move, which is its size and determinant checks and then ``G.gram(P)``."""
+    move, which is its type, size and determinant checks and then ``G.gram(P)``."""
+    require_sym_matrix(G, "congruence")
     _require_int_matrix(P, "P")
     if P.rows != P.cols or P.rows != G.n:
         raise SizeMismatch(f"P is {P.rows}x{P.cols}, G is {G.n}x{G.n}")
@@ -695,6 +705,8 @@ def primitive_scale(u: Sequence) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def require_integral(G: SymMatrix) -> None:
+def require_integral(G: SymMatrix, what: str) -> None:
+    """The check that the function ``what`` was given an integral ``SymMatrix``."""
+    require_sym_matrix(G, what)
     if not G.is_integral():
         raise NotIntegerMatrix("matrix has non-integer entries")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ParseError, RegionOutOfRange, SelfPairedCrossing
+from .errors import KinkEqError, ParseError, RegionOutOfRange, SelfPairedCrossing
 from .exact import IntMatrix, SymMatrix, write_number
 from .formats import content_lines, read_number, read_rows
 
@@ -87,6 +87,8 @@ def goeritz_matrix(diagram: Diagram) -> SymMatrix:
     The diagram is checked as ``parse_diagram`` checks its text; each
     crossing is read as an integer triple by ``IntMatrix.from_rows``.
     """
+    if not isinstance(diagram, Diagram):
+        raise KinkEqError(f"goeritz_matrix needs a Diagram, got {type(diagram).__name__}")
     regions = _regions(diagram.region_count, None)
     crossings = IntMatrix.from_rows(diagram.crossings, cols=3).entries
     _check_crossings(regions, crossings, None)

@@ -26,6 +26,7 @@ from .exact import (
     SymMatrix,
     congruence,
     inertia_and_abs_det,
+    require_sym_matrix,
     write_number,
 )
 
@@ -102,6 +103,7 @@ class VerificationReport:
 
 def apply_move(G: SymMatrix, move: Move) -> SymMatrix:
     """Apply one move by its kernel in ``exact``, which checks it exactly."""
+    require_sym_matrix(G, "apply_move")
     if isinstance(move, Congruence):
         return congruence(G, move.matrix)
     if isinstance(move, Kink):

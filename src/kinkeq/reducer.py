@@ -14,8 +14,9 @@ one congruence Q that makes every change of basis below, and one unkink:
 
 The reducer builds every basis change itself, so it replays none of its
 moves through the checked path of ``moves``; the verifier alone checks
-them.  Steps 1 and 2 take their matrix from the unchecked product
-``SymMatrix.gram``.  Steps 3 and 4 come from one kernel,
+them.  Steps 1 and 2 are one basis C, read from G and b alone by
+``_integralizing_basis``, and one unchecked product ``G.gram(C)``.
+Steps 3 and 4 come from one kernel,
 ``SymMatrix.unit_complement``, which splits off the round's vector u with
 <u, u> = 1 and returns both the congruence Q of step 4 and the next matrix,
 the form on u^perp, which equals what the moves leave.
@@ -45,6 +46,7 @@ from .exact import (
     extend_primitive,
     inertia,
     primitive_scale,
+    require_sym_matrix,
     write_number,
 )
 from .moves import Congruence, Kink, Move, Trace, Unkink, count_moves
@@ -91,6 +93,7 @@ def find_positive_vector(G: SymMatrix) -> tuple[int, ...]:
     made primitive, is then shrunk by ``_shrink_positive_vector``, which
     never lengthens a coordinate.
     """
+    require_sym_matrix(G, "find_positive_vector")
     n = G.n
     g = G.rows  # d*G with d > 0: the same signs, in integers
     for i in range(n):
@@ -138,48 +141,73 @@ def _shrink_positive_vector(G: SymMatrix, b: tuple[int, ...]) -> tuple[int, ...]
     return primitive_scale(best)
 
 
+def _integralizing_basis(G: SymMatrix, C: IntMatrix) -> tuple[IntMatrix, list[Move]]:
+    """The round's basis with an integral first row, and the kinks it costs.
+
+    Row 0 of the square C is b.  The first row of C G C^T is (b G) C^T, and
+    C^T is unimodular, so it has the gcd of b G: d = den / gcd(den, b dG)
+    is the lcm of its denominators, read from G and b alone.  For d = 1 the
+    basis is C and no kink is spent.  Otherwise one kink [-1] and the basis
+    S (C (+) [1]), S the shear with rows (d, 0.., 1) / identity /
+    (d-1, 0.., 1), so the basis rows are (d b, 1), the other rows of C
+    padded with 0, and ((d-1) b, 1), and the new corner is d^2 k - 1 for
+    the corner k = b^T G b.
+    """
+    b = C.entries[0]
+    d = G.den // gcd(G.den, *(sum(map(mul, row, b)) for row in G.rows))
+    if d == 1:
+        return C, []
+    rows = [
+        (*(d * x for x in b), 1),
+        *(row + (0,) for row in C.entries[1:]),
+        (*((d - 1) * x for x in b), 1),
+    ]
+    return IntMatrix.from_rows(rows, cols=C.cols + 1), [Kink(-1)]
+
+
 def integralize_first_row(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     """Make the first row integral at the cost of one negative kink.
 
-    For corner k/d with d the lcm of the first-row denominators, kinks by
-    [-1] and applies the determinant-1 congruence with rows (d, 0.., 1) /
-    identity / (d-1, 0.., 1); the new corner d*k - 1 is a positive integer.
-    No-op when the first row is already integral.  The matrix comes from
-    ``G.gram(P)``, unchecked: P is a shear of determinant 1.
+    For corner k and d the lcm of the first-row denominators, kinks by [-1]
+    and applies the determinant-1 congruence P with rows (d, 0.., 1) /
+    identity / (d-1, 0.., 1); the new corner d^2 k - 1 is a positive
+    integer.  No-op when the first row is already integral.  P is
+    ``_integralizing_basis`` of the identity, the round's builder, and the
+    matrix comes from ``G.gram(P)``, unchecked: P is a shear of
+    determinant 1.
     """
+    require_sym_matrix(G, "integralize_first_row")
     n = G.n
     if n == 0 or G[0, 0] <= 0:
         got = "0x0 matrix" if n == 0 else write_number(G[0, 0])
         raise NonpositiveCorner(f"top-left entry must be positive, got {got}")
-    d = G.den // gcd(G.den, *G.rows[0])  # the lcm of the first-row denominators
-    if d == 1:
+    P, moves = _integralizing_basis(G, IntMatrix.identity(n))
+    if not moves:
         return G, []
-    P = IntMatrix.shear(n + 1, {(0, 0): d, (0, n): 1, (n, 0): d - 1})
-    return G.gram(P), [Kink(-1), Congruence(P)]
+    return G.gram(P), [*moves, Congruence(P)]
 
 
 def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     """One round: n_plus drops by exactly one; at most 4 negative kinks
     (5 for rational input), one congruence Q and exactly one positive unkink.
 
-    C has first row b, with the integralization shear fused in as
-    S (C (+) [1]).  With <x, y> the form after the kinks, u = (first row of
-    C, the nonzero squares s of k - 1) has <u, u> = k - sum s^2 = 1.
-    ``H.unit_complement(C, squares)`` splits u off from one set of pairings
-    <c, u>: it returns Q, which maps each other row c of C (+) I to
-    c - <c, u> u and puts u last, and the next matrix, the form on u^perp.
+    C has first row b, with the integralization shear S fused in as
+    S (C (+) [1]) by ``_integralizing_basis``, and H = ``G.gram(C)`` is
+    the round's one Gram product.  With <x, y> the form after the kinks,
+    u = (first row of C, the nonzero squares s of k - 1) has
+    <u, u> = k - sum s^2 = 1.  ``H.unit_complement(C, squares)`` splits u
+    off from one set of pairings <c, u>: it returns Q, which maps each
+    other row c of C (+) I to c - <c, u> u and puts u last, and the next
+    matrix, the form on u^perp.
 
     Nothing is replayed: the vector move and the integralization come from
     the unchecked ``gram``, the rest from ``unit_complement``, which guards
     <u, u> = 1; the verifier alone checks the moves.
     """
     b = find_positive_vector(G)
-    C = extend_primitive(b).transpose()  # first row b, so the corner is b^T G b
-    H, moves = integralize_first_row(G.gram(C))
-    if moves:  # rational input: the kink [-1] stays, its shear S is fused into C
-        S = moves.pop().matrix
-        C = S.matmul(IntMatrix.from_rows([*(r + (0,) for r in C.entries), (0,) * C.cols + (1,)]))
-    k = H.rows[0][0] // H.den  # the corner, integral after integralize_first_row
+    C, moves = _integralizing_basis(G, extend_primitive(b).transpose())
+    H = G.gram(C)
+    k = H.rows[0][0] // H.den  # the corner, whose row _integralizing_basis made integral
     squares = [s for s in four_squares(k - 1) if s != 0]
     Q, after = H.unit_complement(C, squares)
     moves += [Kink(-1)] * len(squares)
@@ -205,8 +233,7 @@ def reduce(G: SymMatrix, target: str) -> Trace:
     most 4*n_plus(G) negative kinks (5*n_plus for non-integral G) and
     exactly n_plus(G) positive unkinks; symmetrically for positive targets.
     """
-    if not isinstance(G, SymMatrix):
-        raise KinkEqError(f"reduce needs a SymMatrix, got {type(G).__name__}")
+    require_sym_matrix(G, "reduce")
     if target not in TARGETS:
         raise KinkEqError(f"unknown target {target!r}")
     if target in (POS_DEFINITE, POS_SEMIDEFINITE):

@@ -72,3 +72,9 @@ def test_rational_round_trip_exits_0(tmp_path):
     result = _kinkeq("verify", str(trace))
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("valid: 9 moves")
+    # two rounds: each one integralization kink, the squares' kinks, Q and an unkink
+    result = _kinkeq("stats", str(trace))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "pos_kinks 0 neg_kinks 5 pos_unkinks 2 neg_unkinks 0 congruences 2"
+    ]

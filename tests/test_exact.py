@@ -15,20 +15,24 @@ from kinkeq import (
     SymMatrix,
     Unkink,
     apply_move,
+    cct_search,
     congruence,
     determinant,
     extend_primitive,
     find_positive_vector,
     four_squares,
+    goeritz_matrix,
     inertia,
     integralize_first_row,
     is_unimodular,
     primitive_scale,
+    reduce_binary_form,
     replay,
 )
 from kinkeq.errors import (
     BadRational,
     InternalError,
+    KinkEqError,
     NotIntegerMatrix,
     NotPrimitive,
     NotUnimodular,
@@ -854,3 +858,27 @@ class TestSparseElimination:
             assert diagonalizing_congruence(G) == diagonalization
             assert determinant(G) == det
             assert inertia_and_abs_det(G) == (Inertia(*signs), abs(det))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: congruence([[1]], IntMatrix.identity(1)),
+        lambda: inertia([[1]]),
+        lambda: determinant([[1]]),
+        lambda: inertia_and_abs_det([[1]]),
+        lambda: diagonalizing_congruence([[1]]),
+        lambda: cct_search([[1]]),
+        lambda: reduce_binary_form([[1, 0], [0, 1]]),
+        lambda: apply_move([[1]], Kink(1)),
+        lambda: find_positive_vector([[1]]),
+        lambda: integralize_first_row([[1]]),
+        lambda: goeritz_matrix(None),
+    ],
+)
+def test_matrix_arguments_are_checked(call):
+    """A public function given rows, or None, where it takes a SymMatrix
+    (a Diagram for goeritz_matrix) raises a library error where the
+    argument enters, not an AttributeError from deep inside."""
+    with pytest.raises(KinkEqError, match=r"needs a (SymMatrix|Diagram), got (list|NoneType)"):
+        call()

@@ -137,6 +137,29 @@ def test_reducer_never_checks_its_own_moves():
     assert not found, found
 
 
+def test_round_takes_one_basis_and_one_gram():
+    """``_elimination_round`` takes its basis, integralization included,
+    from ``_integralizing_basis``, which ``integralize_first_row`` shares,
+    and its matrix from one ``gram``: it neither calls
+    ``integralize_first_row`` nor pops a move back off, and the reducer
+    builds no second shear to fuse."""
+    path = ROOT / "src" / "kinkeq" / "reducer.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    round_ = functions["_elimination_round"]
+    named = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(round_)}
+    assert not named & {"integralize_first_row", "pop"}
+    grams = [
+        node
+        for node in ast.walk(round_)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "gram"
+    ]
+    assert len(grams) == 1
+    for caller in ("_elimination_round", "integralize_first_row"):
+        assert _calls(functions[caller], "_integralizing_basis"), caller
+    assert not _names(path, {"shear", "matmul"})
+
+
 def test_matrices_built_only_in_exact():
     """Only ``exact`` calls the ``SymMatrix`` and ``IntMatrix`` constructors;
     everything else goes through their classmethods and the move kernels,

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +41,7 @@ from kinkeq.errors import (
 )
 from kinkeq.exact import diagonalizing_congruence
 from kinkeq.formats import parse_trace, serialize_trace
+from kinkeq.reducer import _integralizing_basis
 from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX
 
 from oracles import quadratic_value, random_sym, random_sym_rational
@@ -178,6 +179,47 @@ class TestIntegralizeFirstRow:
             integralize_first_row(SymMatrix.from_rows([[Fraction(-1, 2)]]))
         with pytest.raises(NonpositiveCorner):
             integralize_first_row(SymMatrix.empty())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_corner_is_d_squared_k_minus_1(self, seed):
+        # d is the lcm of the first-row denominators, k the corner
+        rng = random.Random(f"corner-{seed}")
+        for _ in range(20):
+            G = random_sym_rational(rng, rng.randint(1, 5), 6, 6)
+            if G[0, 0] <= 0:
+                continue
+            d = lcm(*(G[0, j].denominator for j in range(G.n)))
+            out, moves = integralize_first_row(G)
+            assert out[0, 0] == (d * d * G[0, 0] - 1 if d > 1 else G[0, 0])
+            assert len(moves) == (2 if d > 1 else 0)
+            assert all(out[0, j].denominator == 1 for j in range(out.n))
+
+
+class TestIntegralizingBasis:
+    """The round reads its integralization denominator from G and b alone:
+    the first row of C G C^T is (b G) C^T, which has the gcd of b G
+    because C is unimodular."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_integralizing_the_vector_move(self, seed):
+        rng = random.Random(f"integralizing-{seed}")
+        for _ in range(15):
+            G = random_sym_rational(rng, rng.randint(1, 5), 5, 6)
+            if not inertia(G).n_plus:
+                continue
+            C = extend_primitive(find_positive_vector(G)).transpose()  # the round's own C
+            basis, kinks = _integralizing_basis(G, C)
+            out, moves = integralize_first_row(G.gram(C))
+            assert G.gram(basis) == out
+            assert kinks == moves[:1]
+
+    def test_identity_basis_is_the_shear(self):
+        G = SymMatrix.from_rows([[Fraction(1, 2), 0], [0, 1]])
+        basis, kinks = _integralizing_basis(G, IntMatrix.identity(2))
+        assert basis == IntMatrix.shear(3, {(0, 0): 2, (0, 2): 1, (2, 0): 1})
+        assert kinks == [Kink(-1)]
+        C = IntMatrix.identity(2)
+        assert _integralizing_basis(SymMatrix.diagonal([3, Fraction(1, 2)]), C) == (C, [])
 
 
 def _rounds(G):
@@ -379,6 +421,35 @@ class TestCheckedCongruences:
             calls.clear()
             assert verify_trace(trace).valid
             assert len(calls) == count_moves(trace.moves).congruences
+
+
+class TestOneGramPerRound:
+    """Each round takes its matrix from exactly one ``SymMatrix.gram``:
+    the vector move and, for rational input, the integralization are one
+    basis, so ``reduce`` makes n_plus Gram products."""
+
+    @pytest.fixture
+    def grams(self, monkeypatch):
+        grams = []
+        gram = SymMatrix.gram
+
+        def counted(G, P):
+            grams.append(P)
+            return gram(G, P)
+
+        monkeypatch.setattr(SymMatrix, "gram", counted)
+        return grams
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_n_plus_grams(self, seed, rational, grams):
+        rng = random.Random(f"grams-{seed}")
+        for _ in range(6):
+            n = rng.randint(1, 4)
+            G = random_sym_rational(rng, n, 4, 4) if rational else random_sym(rng, n, 6)
+            grams.clear()
+            reduce(G, NEG_SEMIDEFINITE)
+            assert len(grams) == inertia(G).n_plus
 
 
 BIG = 10**5000  # past CPython's default int string-conversion limit (4300 digits)
