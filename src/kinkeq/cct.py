@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt
 
 from .errors import (
     InternalError,
+    KinkEqError,
     Not2x2,
     NotPositiveDefinite,
     NotPositiveSemidefinite,
@@ -15,6 +17,7 @@ from .exact import (
     IntMatrix,
     SymMatrix,
     inertia,
+    require_int_matrix,
     require_integral,
 )
 from .moves import Congruence, Kink, Move, Trace, Unkink, apply_move, replay
@@ -33,15 +36,12 @@ class GramFactor:
 
     @classmethod
     def from_matrix(cls, C: IntMatrix) -> "GramFactor":
+        require_int_matrix(C, "C")
         cols = []
-        for j in range(C.cols):
-            col = C.column(j)
+        for col in map(C.column, range(C.cols)):
             lead = next((x for x in col if x != 0), 0)
-            if lead == 0:
-                continue
-            if lead < 0:
-                col = tuple(-x for x in col)
-            cols.append(col)
+            if lead:
+                cols.append(col if lead > 0 else tuple(-x for x in col))
         cols.sort(reverse=True)
         return cls(IntMatrix.from_rows(cols, cols=C.rows).transpose())
 
@@ -65,6 +65,7 @@ def icct_trace(C: IntMatrix) -> Trace:
     [[I, C], [0, I]] and [[I, 0], [C^T, I]], a block rotation putting the
     surviving identity block last, and n positive unkinks.
     """
+    require_int_matrix(C, "C")
     n, m = C.rows, C.cols
     size = n + m
     block = {(i, n + j): C[i, j] for i in range(n) for j in range(m)}
@@ -92,38 +93,28 @@ def cct_search(G: SymMatrix) -> GramFactor | None:
     space is finite.  Signed column permutations are quotiented out by
     requiring entries to be non-increasing inside blocks of columns with
     equal prefixes and nonnegative where the prefix is all zero, which
-    makes the first solution found canonical.
+    makes the first solution found canonical.  The rules run on state that
+    the placed rows carry, set once per placed row: ``signed``, the index
+    from which every column is still all zero (under these rules those
+    columns form a suffix), ``tied``, the columns that still equal the one
+    before, and each row's suffix squared norms for a Cauchy-Schwarz prune.
     """
     require_integral(G, "cct_search")
-    sig = inertia(G)
-    if sig.n_minus > 0:
+    if inertia(G).n_minus > 0:
         raise NotPositiveSemidefinite("matrix has a negative eigenvalue")
-    n = G.n
-    g = G.rows
+    n, g = G.n, G.rows
     m = sum(g[i][i] for i in range(n))
     rows: list[tuple[int, ...]] = []
+    suffix: list[list[int]] = []  # suffix[r][j] = sum of rows[r][k]^2 over k >= j
 
-    def row_candidates(i: int):
-        """Yield canonical rows x with |x| bounded, sum x^2 = G_ii and
-        x . rows[r] = G_ir for all r < i."""
-        target_norm = g[i][i]
+    def fill(i: int, signed: int, tied: list[bool]) -> GramFactor | None:
+        """Place rows i, i+1, ... after ``rows``: row i is a canonical x
+        with |x| bounded, sum x^2 = G_ii and x . rows[r] = G_ir for r < i."""
+        if i == n:
+            return GramFactor.from_matrix(IntMatrix.from_rows(rows, cols=m))
         targets = list(g[i][:i])
-        # suffix squared norms of earlier rows, for a Cauchy-Schwarz prune
-        suffix = [
-            [0] * (m + 1)
-            for _ in range(i)
-        ]
-        for r in range(i):
-            for j in range(m - 1, -1, -1):
-                suffix[r][j] = suffix[r][j + 1] + rows[r][j] ** 2
         x = [0] * m
         dots = [0] * i  # x . rows[r] over the columns set so far
-        earlier = rows[:i]
-        # canonical form, per column: where every earlier row is zero the
-        # entry is nonnegative (sign normalization), and where the earlier
-        # rows agree with the column before it is at most that entry
-        unsigned = [all(row[j] == 0 for row in earlier) for j in range(m)]
-        tied = [j > 0 and all(row[j] == row[j - 1] for row in earlier) for j in range(m)]
 
         def rec(j: int, norm_left: int):
             if j == m:
@@ -135,32 +126,33 @@ def cct_search(G: SymMatrix) -> GramFactor | None:
                 if gap * gap > norm_left * suffix[r][j]:
                     return
             reach = isqrt(norm_left)  # v * v <= norm_left
-            lo = 0 if unsigned[j] else -reach
+            lo = 0 if j >= signed else -reach
             hi = min(reach, x[j - 1]) if tied[j] else reach
             for v in range(hi, lo - 1, -1):
                 x[j] = v
                 for r in range(i):
-                    dots[r] += v * earlier[r][j]
+                    dots[r] += v * rows[r][j]
                 yield from rec(j + 1, norm_left - v * v)
                 for r in range(i):
-                    dots[r] -= v * earlier[r][j]
+                    dots[r] -= v * rows[r][j]
             x[j] = 0
 
-        yield from rec(0, target_norm)
-
-    def fill(i: int) -> GramFactor | None:
-        if i == n:
-            C = IntMatrix.from_rows(rows, cols=m)
-            return GramFactor.from_matrix(C)
-        for candidate in row_candidates(i):
-            rows.append(candidate)
-            found = fill(i + 1)
+        for row in rec(0, g[i][i]):
+            rows.append(row)
+            suffix.append(list(accumulate((v * v for v in reversed(row)), initial=0))[::-1])
+            # the entries from ``signed`` on are non-increasing and nonnegative
+            found = fill(
+                i + 1,
+                signed + sum(map(bool, row[signed:])),
+                [t and row[j] == row[j - 1] for j, t in enumerate(tied)],
+            )
             if found is not None:
                 return found
             rows.pop()
+            suffix.pop()
         return None
 
-    return fill(0)
+    return fill(0, 0, [j > 0 for j in range(m)])
 
 
 def reduce_binary_form(A: SymMatrix) -> tuple[SymMatrix, IntMatrix]:
@@ -205,9 +197,15 @@ def reduced_gram_factor(reduced: SymMatrix, E: IntMatrix) -> GramFactor:
     and the congruence E that ``reduce_binary_form`` returns with it.
 
     On A' take a - |b| columns e_1, c - |b| columns e_2, and |b| columns
-    (1, sgn b); pull back along E.
+    (1, sgn b); pull back along E.  A' must be integral with |b| <= a, c.
     """
+    require_integral(reduced, "reduced_gram_factor")
+    require_int_matrix(E, "E")
+    if reduced.n != 2:
+        raise Not2x2(f"expected a 2x2 matrix, got {reduced.n}x{reduced.n}")
     (a, b), (_, c) = reduced.rows
+    if not abs(b) <= min(a, c):
+        raise KinkEqError("reduced_gram_factor needs a form with |b| <= a and |b| <= c")
     cols = (
         [(1, 0)] * (a - abs(b))
         + [(0, 1)] * (c - abs(b))

@@ -138,7 +138,8 @@ def _lift_rows(rows: Iterable[Iterable]) -> tuple[int, tuple[tuple[int, ...], ..
     return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
 
 
-def _require_int_matrix(P: object, what: str) -> None:
+def require_int_matrix(P: object, what: str) -> None:
+    """The check on an ``IntMatrix`` argument ``what``, where it enters."""
     if not isinstance(P, IntMatrix):
         raise NotIntegerMatrix(f"{what} is an IntMatrix, got {type(P).__name__}")
 
@@ -238,7 +239,7 @@ class IntMatrix:
         )
 
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        _require_int_matrix(other, "a factor")
+        require_int_matrix(other, "a factor")
         if self.cols != other.rows:
             raise SizeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
         product = _row_product(self.entries, other.entries, other.cols)
@@ -337,7 +338,7 @@ class SymMatrix:
         rank-one update K[1:, 1:] - x x^T, with the same den: what t kinks
         [-1], Q and the unkink [1] leave of F.
         """
-        _require_int_matrix(basis, "the basis")
+        require_int_matrix(basis, "the basis")
         n, d = self.n, self.den
         if not n:
             raise InternalError("the empty matrix has no corner")
@@ -370,7 +371,7 @@ class SymMatrix:
         of P.  den stays least when P keeps the gcd of the entries, as a
         unimodular P does; for any other P it is made least again.
         """
-        _require_int_matrix(P, "P")
+        require_int_matrix(P, "P")
         n, d = self.n, self.den
         m = P.cols - n
         if m < 0:
@@ -490,6 +491,7 @@ def determinant(G: SymMatrix) -> Fraction:
 
 def is_unimodular(P: IntMatrix) -> bool:
     """True iff P is square with determinant +1 or -1."""
+    require_int_matrix(P, "P")
     if P.rows != P.cols:
         return False
     return _det_int(P.entries) in (1, -1)
@@ -644,7 +646,7 @@ def congruence(G: SymMatrix, P: IntMatrix) -> SymMatrix:
     """Return P G P^T for unimodular P of the same size as G: the checked
     move, which is its type, size and determinant checks and then ``G.gram(P)``."""
     require_sym_matrix(G, "congruence")
-    _require_int_matrix(P, "P")
+    require_int_matrix(P, "P")
     if P.rows != P.cols or P.rows != G.n:
         raise SizeMismatch(f"P is {P.rows}x{P.cols}, G is {G.n}x{G.n}")
     det = _det_int(P.entries)

@@ -129,11 +129,14 @@ def _kind(move: Move) -> str:
 def verify_trace(trace: Trace) -> VerificationReport:
     """Replay a trace, checking every move precondition and the end matrix.
 
-    Never raises, since a Trace checks its fields when it is built; failures
-    are reported with the first bad step index.  Each audit entry records
-    inertia and |det| after the step, both from one fresh elimination of the
-    replayed matrix; nullity and |det| are constant along valid traces.
+    Never raises on a ``Trace``, since a Trace checks its fields when it is
+    built; failures are reported with the first bad step index.  Each audit
+    entry records inertia and |det| after the step, both from one fresh
+    elimination of the replayed matrix; nullity and |det| are constant along
+    valid traces.
     """
+    if not isinstance(trace, Trace):
+        raise KinkEqError(f"verify_trace needs a Trace, got {type(trace).__name__}")
     current = trace.start
     steps = [StepAudit(-1, "start", current.n, *inertia_and_abs_det(current))]
     for i, move in enumerate(trace.moves):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kinkeq import (
     Congruence,
+    GramFactor,
     IntMatrix,
     Kink,
     SymMatrix,
@@ -22,6 +23,7 @@ from kinkeq import (
     find_positive_vector,
     four_squares,
     goeritz_matrix,
+    icct_trace,
     inertia,
     integralize_first_row,
     is_unimodular,
@@ -33,6 +35,7 @@ from kinkeq.errors import (
     BadRational,
     InternalError,
     KinkEqError,
+    Not2x2,
     NotIntegerMatrix,
     NotPrimitive,
     NotUnimodular,
@@ -40,6 +43,7 @@ from kinkeq.errors import (
     UnkinkShapeViolation,
     ZeroVector,
 )
+from kinkeq.cct import reduced_gram_factor
 from kinkeq.exact import Inertia, diagonalizing_congruence, inertia_and_abs_det
 from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX
 
@@ -610,8 +614,28 @@ class TestReaders:
             (lambda: IntMatrix.shear(2, None), NotIntegerMatrix),
             (lambda: SymMatrix.from_rows([[1]]).gram([[1]]), NotIntegerMatrix),
             (lambda: SymMatrix.diagonal([1, 2]).gram(IntMatrix.identity(1)), SizeMismatch),
+            (lambda: is_unimodular(None), NotIntegerMatrix),
+            (lambda: icct_trace(None), NotIntegerMatrix),
+            (lambda: icct_trace([[1]]), NotIntegerMatrix),
+            (lambda: GramFactor.from_matrix(None), NotIntegerMatrix),
+            (lambda: reduced_gram_factor(SymMatrix.from_rows([[1, 0], [0, 1]]), None),
+             NotIntegerMatrix),
+            (lambda: reduced_gram_factor(None, IntMatrix.identity(2)), KinkEqError),
+            (lambda: reduced_gram_factor(SymMatrix.from_rows([[1]]), IntMatrix.identity(2)),
+             Not2x2),
+            (lambda: reduced_gram_factor(SymMatrix.diagonal([Fraction(1, 2), 1]),
+                                         IntMatrix.identity(2)), NotIntegerMatrix),
+            (lambda: reduced_gram_factor(SymMatrix.diagonal([-1, -1]), IntMatrix.identity(2)),
+             KinkEqError),
+            (lambda: reduced_gram_factor(SymMatrix.from_rows([[2, 3], [3, 5]]),
+                                         IntMatrix.identity(2)), KinkEqError),
         ],
-        ids=["congruence", "matmul", "unit_complement", "shear", "gram-list", "gram-narrow"],
+        ids=[
+            "congruence", "matmul", "unit_complement", "shear", "gram-list", "gram-narrow",
+            "is_unimodular", "icct-none", "icct-list", "from_matrix", "reduced-E-none",
+            "reduced-none", "reduced-1x1", "reduced-rational", "reduced-negative",
+            "reduced-unreduced",
+        ],
     )
     def test_kernels_check_their_arguments(self, call, error):
         with pytest.raises(error):

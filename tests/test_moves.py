@@ -120,6 +120,16 @@ class TestVerifyTrace:
         with pytest.raises(KinkEqError):
             verify_trace(Trace(*fields))
 
+    @pytest.mark.parametrize("check", [verify_trace, trace_stats])
+    @pytest.mark.parametrize(
+        "value", [None, "trace", five_to_minus_five_trace().moves], ids=["none", "str", "moves"]
+    )
+    def test_refuses_what_is_not_a_trace(self, check, value):
+        # the "never raises" promise holds on a Trace; anything else is
+        # refused where it enters, as a library error
+        with pytest.raises(KinkEqError, match="verify_trace needs a Trace, got "):
+            check(value)
+
     def test_tampered_congruence_rejected(self):
         trace = five_to_minus_five_trace()
         moves = list(trace.moves)

@@ -160,6 +160,17 @@ def test_round_takes_one_basis_and_one_gram():
     assert not _names(path, {"shear", "matmul"})
 
 
+def test_cct_search_keeps_one_function_per_row():
+    """``cct_search`` defines exactly ``fill``, which places one row and
+    hands the next its canonical state, and ``fill``'s ``rec`` generator,
+    which fills that row column by column: no separate per-row candidate
+    builder rescans the placed rows."""
+    tree = ast.parse((ROOT / "src" / "kinkeq" / "cct.py").read_text(encoding="utf-8"))
+    (search,) = [node for node in tree.body if getattr(node, "name", None) == "cct_search"]
+    defined = sorted(node.name for node in ast.walk(search) if isinstance(node, ast.FunctionDef))
+    assert defined == ["cct_search", "fill", "rec"]
+
+
 def test_matrices_built_only_in_exact():
     """Only ``exact`` calls the ``SymMatrix`` and ``IntMatrix`` constructors;
     everything else goes through their classmethods and the move kernels,
