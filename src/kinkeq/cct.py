@@ -92,12 +92,12 @@ def cct_search(G: SymMatrix) -> GramFactor | None:
     at least 1 to trace(CC^T), so trace(G) columns suffice and the search
     space is finite.  Signed column permutations are quotiented out by
     requiring entries to be non-increasing inside blocks of columns with
-    equal prefixes and nonnegative where the prefix is all zero, which
-    makes the first solution found canonical.  The rules run on state that
-    the placed rows carry, set once per placed row: ``signed``, the index
-    from which every column is still all zero (under these rules those
-    columns form a suffix), ``tied``, the columns that still equal the one
-    before, and each row's suffix squared norms for a Cauchy-Schwarz prune.
+    equal prefixes and nonnegative where the prefix is all zero.  The rules
+    run on state the placed rows carry: ``signed``, the index from which
+    every column is still all zero, ``tied``, the columns that still equal
+    the one before, and each row's suffix squared norms for a Cauchy-Schwarz
+    prune, which also checks dot products.  A row ends where its norm is
+    spent and 0 is allowed; the rows cut to ``signed`` columns are the factor.
     """
     require_integral(G, "cct_search")
     if inertia(G).n_minus > 0:
@@ -111,20 +111,20 @@ def cct_search(G: SymMatrix) -> GramFactor | None:
         """Place rows i, i+1, ... after ``rows``: row i is a canonical x
         with |x| bounded, sum x^2 = G_ii and x . rows[r] = G_ir for r < i."""
         if i == n:
-            return GramFactor.from_matrix(IntMatrix.from_rows(rows, cols=m))
+            return GramFactor(IntMatrix.from_rows([row[:signed] for row in rows], cols=signed))
         targets = list(g[i][:i])
         x = [0] * m
         dots = [0] * i  # x . rows[r] over the columns set so far
 
         def rec(j: int, norm_left: int):
-            if j == m:
-                if norm_left == 0 and dots == targets:
-                    yield tuple(x)
-                return
             for r in range(i):
                 gap = targets[r] - dots[r]
                 if gap * gap > norm_left * suffix[r][j]:
                     return
+            if not norm_left or j == m:
+                if not norm_left and (j == m or not tied[j] or x[j - 1] >= 0):
+                    yield tuple(x)
+                return
             reach = isqrt(norm_left)  # v * v <= norm_left
             lo = 0 if j >= signed else -reach
             hi = min(reach, x[j - 1]) if tied[j] else reach

@@ -65,6 +65,16 @@ class Unkink:
 
 
 Move = Union[Congruence, Kink, Unkink]
+_MOVE_KINDS = (Congruence, Kink, Unkink)
+
+
+def _moves(moves: object, what: str) -> tuple[Move, ...]:
+    """``moves`` as a tuple; anything but an iterable of moves is refused."""
+    if isinstance(moves, Iterable):
+        moves = tuple(moves)
+        if all(isinstance(move, _MOVE_KINDS) for move in moves):
+            return moves
+    raise KinkEqError(f"{what} takes an iterable of Congruence, Kink and Unkink moves")
 
 
 @dataclass(frozen=True)
@@ -77,7 +87,7 @@ class Trace:
         if not (isinstance(self.start, SymMatrix) and isinstance(self.end, SymMatrix)):
             raise KinkEqError("a trace starts and ends at a SymMatrix")
         if not isinstance(self.moves, tuple) or not all(
-            isinstance(move, (Congruence, Kink, Unkink)) for move in self.moves
+            isinstance(move, _MOVE_KINDS) for move in self.moves
         ):
             raise KinkEqError("a trace's moves are a tuple of Congruence, Kink and Unkink")
 
@@ -115,7 +125,7 @@ def apply_move(G: SymMatrix, move: Move) -> SymMatrix:
 
 def replay(start: SymMatrix, moves: Iterable[Move]) -> SymMatrix:
     """``start`` after ``moves``, each applied and checked by ``apply_move``."""
-    return functools.reduce(apply_move, moves, start)
+    return functools.reduce(apply_move, _moves(moves, "replay"), start)
 
 
 def _kind(move: Move) -> str:
@@ -132,13 +142,15 @@ def verify_trace(trace: Trace) -> VerificationReport:
     Never raises on a ``Trace``, since a Trace checks its fields when it is
     built; failures are reported with the first bad step index.  Each audit
     entry records inertia and |det| after the step, both from one fresh
-    elimination of the replayed matrix; nullity and |det| are constant along
-    valid traces.
+    elimination of the replayed matrix.  Nullity and |det| are constant along
+    valid traces, so the first step whose nullity or |det| differs from the
+    start's fails, with both values in the reason.
     """
     if not isinstance(trace, Trace):
         raise KinkEqError(f"verify_trace needs a Trace, got {type(trace).__name__}")
     current = trace.start
-    steps = [StepAudit(-1, "start", current.n, *inertia_and_abs_det(current))]
+    first = StepAudit(-1, "start", current.n, *inertia_and_abs_det(current))
+    steps = [first]
     for i, move in enumerate(trace.moves):
         try:
             current = apply_move(current, move)
@@ -146,7 +158,17 @@ def verify_trace(trace: Trace) -> VerificationReport:
             return VerificationReport(
                 False, tuple(steps), failed_step=i, reason=f"{type(exc).__name__}: {exc}"
             )
-        steps.append(StepAudit(i, _kind(move), current.n, *inertia_and_abs_det(current)))
+        step = StepAudit(i, _kind(move), current.n, *inertia_and_abs_det(current))
+        steps.append(step)
+        if (step.inertia.n_zero, step.abs_det) != (first.inertia.n_zero, first.abs_det):
+            return VerificationReport(
+                False,
+                tuple(steps),
+                failed_step=i,
+                reason=f"nullity {step.inertia.n_zero} and |det| {write_number(step.abs_det)}"
+                f" after the step, against {first.inertia.n_zero} and"
+                f" {write_number(first.abs_det)} at the start",
+            )
     if current != trace.end:
         return VerificationReport(
             False,
@@ -167,7 +189,8 @@ class MoveStats:
 
 
 def count_moves(moves: Iterable[Move]) -> MoveStats:
-    """Move counts by kind and sign; the moves are only counted, not checked."""
+    """Move counts by kind and sign; the moves are only counted, not replayed."""
+    moves = _moves(moves, "count_moves")
     tally = Counter((type(move), getattr(move, "sign", None)) for move in moves)
     return MoveStats(
         pos_kinks=tally[Kink, 1],

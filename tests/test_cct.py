@@ -107,17 +107,30 @@ class TestCctSearch:
         factor = cct_search(G)
         assert factor is not None and factor.gram() == G
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_recovers_random_gram_products(self, seed):
         rng = random.Random(seed)
-        C = random_int_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), bound=2)
-        G = GramFactor.from_matrix(C).gram() if C.cols else None
+        C = random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), bound=2)
         product = C.matmul(C.transpose())
         G = SymMatrix.from_rows(product.entries)
         factor = cct_search(G)
         assert factor is not None
         assert factor.gram() == G
+        # the rows the search placed, cut to their nonzero columns, are
+        # already the canonical form that from_matrix would make of them
+        assert factor == GramFactor.from_matrix(factor.matrix)
+
+    def test_long_row_ends_where_its_norm_is_spent(self):
+        # the zero tail closes in one step, so trace(G) sets no recursion depth
+        factor = cct_search(SymMatrix.from_rows([[1200]]))
+        assert factor.matrix.entries == ((34, 6, 2, 2),)
+
+    def test_identity_120(self):
+        # 120 rows, each placed by its own call: the search must not nest
+        # one row's columns on top of the rows before it
+        G = SymMatrix.diagonal([1] * 120)
+        assert cct_search(G).matrix == IntMatrix.identity(120)
 
 
 class TestGramFactorCanonical:

@@ -106,6 +106,12 @@ def test_cct_search_found(matrix_file, capsys):
     assert capsys.readouterr().out == "int 1 2\n1 1\n"
 
 
+def test_cct_search_long_row(matrix_file, capsys):
+    path = matrix_file("g.sym", "sym 1\n1200\n")
+    assert main(["cct", "search", path]) == 0
+    assert capsys.readouterr().out == "int 1 4\n34 6 2 2\n"
+
+
 def test_cct_search_none(matrix_file, capsys):
     path = matrix_file("g.sym", serialize_matrix(OBSTRUCTED_GRAM_MATRIX))
     assert main(["cct", "search", path]) == 0

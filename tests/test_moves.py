@@ -16,9 +16,11 @@ from kinkeq import (
     Trace,
     Unkink,
     apply_move,
+    congruence,
     count_moves,
     determinant,
     inertia,
+    replay,
     trace_stats,
     verify_trace,
 )
@@ -139,6 +141,22 @@ class TestVerifyTrace:
         assert report.failed_step == 1
         assert "NotUnimodular" in report.reason
 
+    def test_audit_fails_at_the_first_changed_step(self, monkeypatch):
+        # a faulty kernel that doubles every congruence changes |det| at
+        # step 1 (the first congruence); the audit, not a later unkink, says so
+        trace = five_to_minus_five_trace()
+        def doubled(G, P):
+            return SymMatrix.from_rows([[2 * x for x in row] for row in congruence(G, P).entries])
+
+        monkeypatch.setattr("kinkeq.moves.congruence", doubled)
+        report = verify_trace(trace)
+        assert not report.valid
+        assert report.failed_step == 1
+        assert report.reason == (
+            "nullity 0 and |det| 20 after the step, against 0 and 5 at the start"
+        )
+        assert [step.abs_det for step in report.steps] == [5, 5, 20]
+
     def test_audit_constant_along_chain(self):
         report = verify_trace(five_to_minus_five_trace())
         assert all(step.abs_det == 5 for step in report.steps)
@@ -211,6 +229,22 @@ class TestCountMoves:
         assert count_moves([Unkink(1)]).pos_unkinks == 1
         assert count_moves([]) == MoveStats(0, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("value", [None, [1], "kink", [Kink(1), None]])
+    def test_refuses_what_is_not_moves(self, value):
+        with pytest.raises(KinkEqError, match="^count_moves takes an iterable of Congruence"):
+            count_moves(value)
+
     def test_matches_trace_stats(self):
         trace = five_to_minus_five_trace()
         assert count_moves(trace.moves) == trace_stats(trace)
+
+
+class TestReplay:
+    def test_takes_any_iterable(self):
+        G = SymMatrix.from_rows([[7]])
+        assert replay(G, iter([Kink(-1), Unkink(-1)])) == G
+
+    @pytest.mark.parametrize("value", [None, [1], "kink", [Kink(1), None]])
+    def test_refuses_what_is_not_moves(self, value):
+        with pytest.raises(KinkEqError, match="^replay takes an iterable of Congruence"):
+            replay(SymMatrix.from_rows([[7]]), value)
