@@ -34,6 +34,9 @@ class GramFactor:
 
     matrix: IntMatrix
 
+    def __post_init__(self):
+        require_int_matrix(self.matrix, "a Gram factor")
+
     @classmethod
     def from_matrix(cls, C: IntMatrix) -> "GramFactor":
         require_int_matrix(C, "C")

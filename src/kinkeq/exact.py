@@ -83,9 +83,11 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 
 def write_number(x: int | Fraction) -> str:
     """``str(x)`` of any length: "p" or "p/q", the mirror of the readers in
-    ``formats``; the one number writer of the package."""
-    text = _write_long(x.numerator)
-    return text if x.denominator == 1 else f"{text}/{_write_long(x.denominator)}"
+    ``formats``; the one number writer of the package.  x is read by
+    ``_lift_rows``, which refuses what is not an int or a Fraction."""
+    den, ((numerator,),) = _lift_rows([[x]])
+    text = _write_long(numerator)
+    return text if den == 1 else f"{text}/{_write_long(den)}"
 
 
 def _write_long(x: int) -> str:
@@ -658,9 +660,10 @@ def congruence(G: SymMatrix, P: IntMatrix) -> SymMatrix:
 def extend_primitive(b: Sequence[int]) -> IntMatrix:
     """Extend a primitive integer vector to a unimodular matrix.
 
-    Returns unimodular P with first column b.  Construction: reduce b to e_1
-    by elementary integer row operations (extended-gcd pairs), accumulating
-    the inverse of each step, so P carries an explicit certificate.
+    Returns unimodular C with first row b.  Construction: from the identity,
+    each extended-gcd step (lead, b_i) -> (g, 0), x lead + y b_i = g, acts
+    on rows 0 and i: row 0 becomes (lead/g) row_0 + (b_i/g) row_i and row i
+    becomes x row_i - y row_0, a determinant-1 step.
     """
     (b,) = _read_int_rows([b])
     n = len(b)
@@ -670,27 +673,21 @@ def extend_primitive(b: Sequence[int]) -> IntMatrix:
     if g != 1:
         raise NotPrimitive(f"gcd of entries is {write_number(g)}")
 
-    p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    c = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     lead = b[0]
     for i in range(1, n):
         if b[i] == 0:
             continue
         g, x, y = _egcd(lead, b[i])
-        # row step E = [[x, y], [-b[i]/g, lead/g]] on coords (0, i) sends
-        # (lead, b[i]) -> (g, 0); accumulate its inverse on the right of P.
-        inv00, inv01 = lead // g, -y
-        inv10, inv11 = b[i] // g, x
-        for r in range(n):
-            c0, ci = p[r][0], p[r][i]
-            p[r][0] = c0 * inv00 + ci * inv10
-            p[r][i] = c0 * inv01 + ci * inv11
+        c0, ci = c[0], c[i]
+        c[0] = [lead // g * u + b[i] // g * v for u, v in zip(c0, ci)]
+        c[i] = [x * v - y * u for u, v in zip(c0, ci)]
         lead = g
     if lead == -1:
-        for r in range(n):
-            p[r][0] = -p[r][0]
+        c[0] = [-u for u in c[0]]
     elif lead != 1:
         raise InternalError(f"extended-gcd reduction ended at {lead}, not 1")
-    return IntMatrix.from_rows(p, cols=n)
+    return IntMatrix.from_rows(c, cols=n)
 
 
 def primitive_scale(u: Sequence) -> tuple[int, ...]:

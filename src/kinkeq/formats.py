@@ -19,10 +19,16 @@ from .errors import (
     SizeMismatch,
     UnknownVariable,
 )
-from .exact import IntMatrix, SymMatrix, write_number
-from .moves import Congruence, Kink, Move, Trace, Unkink
+from .exact import IntMatrix, SymMatrix, require_int_matrix, require_sym_matrix, write_number
+from .moves import Congruence, Kink, Move, Trace, Unkink, require_trace
 
 _NUMBER_RE = re.compile("[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _require_text(text: object) -> None:
+    """The check that a reader was given a ``str``."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected text, got {type(text).__name__}")
 
 
 def read_rows(text: str, line: int | None, integers: bool) -> list[list[int | Fraction]]:
@@ -33,6 +39,7 @@ def read_rows(text: str, line: int | None, integers: bool) -> list[list[int | Fr
     tokens of ``_NUMBER_RE``, so the bad token is looked for only when a
     conversion fails.  A row with no "/" is read by ``int`` alone; every
     other row is read token by token."""
+    _require_text(text)
     if text == "empty":
         return []
     if text.isascii() and "_" not in text and not (integers and "/" in text):
@@ -76,6 +83,7 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
     """Yield (line number, content) for each line that is not blank once
     its '#' comment and surrounding whitespace are stripped; lines count
     from 1."""
+    _require_text(text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -150,6 +158,7 @@ def _printable_rows(G: SymMatrix):
 
 
 def serialize_matrix(G: SymMatrix) -> str:
+    require_sym_matrix(G, "serialize_matrix")
     return _write_table(f"sym {G.n}", _printable_rows(G))
 
 
@@ -160,6 +169,7 @@ def parse_int_matrix(text: str) -> IntMatrix:
 
 
 def serialize_int_matrix(C: IntMatrix) -> str:
+    require_int_matrix(C, "C")
     return _write_table(f"int {C.rows} {C.cols}", C.entries)
 
 
@@ -170,6 +180,7 @@ def _write_inline(rows) -> str:
 
 def serialize_trace(trace: Trace) -> str:
     """One move per line: "congr rows", "kink s", "unkink s"."""
+    require_trace(trace, "serialize_trace")
     lines = ["trace", _write_inline(_printable_rows(trace.start))]
     for move in trace.moves:
         if isinstance(move, Congruence):
@@ -229,6 +240,7 @@ def parse_quadratic_form(text: str) -> SymMatrix:
     are halved, so an odd integer cross-term makes a half-integer entry.
     A factor xi^e adds e to its term's degree, which must be 2.
     """
+    _require_text(text)
     s = "".join(text.split())
     if not s:
         raise ParseError("empty expression")

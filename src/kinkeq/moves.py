@@ -92,6 +92,12 @@ class Trace:
             raise KinkEqError("a trace's moves are a tuple of Congruence, Kink and Unkink")
 
 
+def require_trace(trace: object, what: str) -> None:
+    """The check on a ``Trace`` argument of the function ``what``, where it enters."""
+    if not isinstance(trace, Trace):
+        raise KinkEqError(f"{what} needs a Trace, got {type(trace).__name__}")
+
+
 @dataclass(frozen=True)
 class StepAudit:
     """Post-move snapshot used by the |det|/nullity audit."""
@@ -125,6 +131,7 @@ def apply_move(G: SymMatrix, move: Move) -> SymMatrix:
 
 def replay(start: SymMatrix, moves: Iterable[Move]) -> SymMatrix:
     """``start`` after ``moves``, each applied and checked by ``apply_move``."""
+    require_sym_matrix(start, "replay")
     return functools.reduce(apply_move, _moves(moves, "replay"), start)
 
 
@@ -146,8 +153,7 @@ def verify_trace(trace: Trace) -> VerificationReport:
     valid traces, so the first step whose nullity or |det| differs from the
     start's fails, with both values in the reason.
     """
-    if not isinstance(trace, Trace):
-        raise KinkEqError(f"verify_trace needs a Trace, got {type(trace).__name__}")
+    require_trace(trace, "verify_trace")
     current = trace.start
     first = StepAudit(-1, "start", current.n, *inertia_and_abs_det(current))
     steps = [first]

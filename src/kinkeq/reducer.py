@@ -205,7 +205,7 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     <u, u> = 1; the verifier alone checks the moves.
     """
     b = find_positive_vector(G)
-    C, moves = _integralizing_basis(G, extend_primitive(b).transpose())
+    C, moves = _integralizing_basis(G, extend_primitive(b))
     H = G.gram(C)
     k = H.rows[0][0] // H.den  # the corner, whose row _integralizing_basis made integral
     squares = [s for s in four_squares(k - 1) if s != 0]

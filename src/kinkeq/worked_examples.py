@@ -1,7 +1,8 @@
 """Hand-encoded kink-equivalence chains used as verifier fixtures.
 
 These traces are written out move by move (rather than produced by
-``reduce``) so the verifier can replay them as independent certificates.
+``reduce``), ends included, so the verifier can replay them as independent
+certificates: each end is the one the paper gives, not one computed here.
 Permutation congruences are separate moves throughout: unkinking only ever
 strips the trailing coordinate.
 """
@@ -9,7 +10,7 @@ strips the trailing coordinate.
 from __future__ import annotations
 
 from .exact import IntMatrix, SymMatrix
-from .moves import Congruence, Kink, Move, Trace, Unkink, replay
+from .moves import Congruence, Kink, Move, Trace, Unkink
 
 # 6x6 positive-definite matrix that is not a Gram product of any integer
 # matrix, yet reduces to [[-2,-1],[-1,-2]]; |det| = 3.
@@ -29,10 +30,6 @@ def _congr(rows) -> Congruence:
     return Congruence(IntMatrix.from_rows(rows))
 
 
-def _finish(start: SymMatrix, moves: list[Move]) -> Trace:
-    return Trace(start, tuple(moves), replay(start, moves))
-
-
 def five_to_minus_five_trace() -> Trace:
     """[5] to [-5]: one negative kink, two congruences, one positive unkink."""
     start = SymMatrix.from_rows([[5]])
@@ -42,7 +39,7 @@ def five_to_minus_five_trace() -> Trace:
         _congr([[-2, -1], [-1, 0]]),                  # -> diag(-5, 1)
         Unkink(1),
     ]
-    return _finish(start, moves)
+    return Trace(start, tuple(moves), SymMatrix.from_rows([[-5]]))
 
 
 def obstructed_matrix_reduction_trace() -> Trace:
@@ -83,4 +80,4 @@ def obstructed_matrix_reduction_trace() -> Trace:
     moves.append(Congruence(IntMatrix.rotation(3, 1)))
     moves.append(Unkink(1))
 
-    return _finish(OBSTRUCTED_GRAM_MATRIX, moves)
+    return Trace(OBSTRUCTED_GRAM_MATRIX, tuple(moves), SymMatrix.from_rows([[-2, -1], [-1, -2]]))

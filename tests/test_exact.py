@@ -351,7 +351,7 @@ def _unit_complement_by_moves(H, squares):
 def _round_basis(G):
     """H, the fused basis and the integralization kinks of an elimination
     round on G, built as the round builds them."""
-    C = extend_primitive(find_positive_vector(G)).transpose()
+    C = extend_primitive(find_positive_vector(G))
     H, moves = integralize_first_row(replay(G, [Congruence(C)]))
     if not moves:
         return H, C, []
@@ -380,7 +380,7 @@ class TestUnitComplement:
             G = random_sym_rational(rng, n, 6, 4) if rational else random_sym(rng, n, 6)
             if inertia(G).n_plus == 0:
                 continue
-            C = extend_primitive(find_positive_vector(G)).transpose()
+            C = extend_primitive(find_positive_vector(G))
             H, _ = integralize_first_row(replay(G, [Congruence(C)]))
             squares = [s for s in four_squares(int(H[0, 0]) - 1) if s]
             out = H.unit_complement(IntMatrix.identity(H.n), squares)
@@ -618,6 +618,7 @@ class TestReaders:
             (lambda: icct_trace(None), NotIntegerMatrix),
             (lambda: icct_trace([[1]]), NotIntegerMatrix),
             (lambda: GramFactor.from_matrix(None), NotIntegerMatrix),
+            (lambda: GramFactor(None).gram(), NotIntegerMatrix),
             (lambda: reduced_gram_factor(SymMatrix.from_rows([[1, 0], [0, 1]]), None),
              NotIntegerMatrix),
             (lambda: reduced_gram_factor(None, IntMatrix.identity(2)), KinkEqError),
@@ -632,7 +633,8 @@ class TestReaders:
         ],
         ids=[
             "congruence", "matmul", "unit_complement", "shear", "gram-list", "gram-narrow",
-            "is_unimodular", "icct-none", "icct-list", "from_matrix", "reduced-E-none",
+            "is_unimodular", "icct-none", "icct-list", "from_matrix", "gram-factor-none",
+            "reduced-E-none",
             "reduced-none", "reduced-1x1", "reduced-rational", "reduced-negative",
             "reduced-unreduced",
         ],
@@ -723,7 +725,7 @@ class TestExtendPrimitive:
     def test_postconditions(self, b):
         P = extend_primitive(b)
         assert is_unimodular(P)
-        assert P.column(0) == tuple(b)
+        assert P.entries[0] == tuple(b)
 
     def test_rejects_imprimitive(self):
         with pytest.raises(NotPrimitive):
@@ -750,7 +752,7 @@ class TestExtendPrimitive:
             return
         P = extend_primitive(b)
         assert is_unimodular(P)
-        assert P.column(0) == tuple(b)
+        assert P.entries[0] == tuple(b)
 
 
 class TestPrimitiveScale:

@@ -20,11 +20,13 @@ from kinkeq.errors import (
     ParseError,
     UnknownVariable,
 )
+from kinkeq.exact import write_number
 from kinkeq.formats import (
     parse_int_matrix,
     parse_matrix,
     parse_quadratic_form,
     parse_trace,
+    read_number,
     read_rows,
     serialize_int_matrix,
     serialize_matrix,
@@ -433,3 +435,30 @@ def test_mutated_inputs_raise_only_kinkeq_errors():
             pass
         except Exception as exc:
             pytest.fail(f"case {case}, input {text!r}: {type(exc).__name__}: {exc}")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: parse_matrix(None),
+        lambda: parse_int_matrix(None),
+        lambda: parse_trace(b"trace"),
+        lambda: parse_diagram(None),
+        lambda: parse_quadratic_form(None),
+        lambda: read_rows(None, None, True),
+        lambda: read_number(None, None, True),
+        lambda: serialize_matrix(None),
+        lambda: serialize_int_matrix(None),
+        lambda: serialize_trace("x"),
+        lambda: write_number(None),
+    ],
+    ids=[
+        "parse_matrix", "parse_int_matrix", "parse_trace-bytes", "parse_diagram",
+        "parse_quadratic_form", "read_rows", "read_number", "serialize_matrix",
+        "serialize_int_matrix", "serialize_trace-str", "write_number",
+    ],
+)
+def test_refuses_what_is_not_text_or_the_written_value(call):
+    # the readers take text and the writers their own value, or raise a library error
+    with pytest.raises(KinkEqError):
+        call()

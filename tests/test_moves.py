@@ -248,3 +248,9 @@ class TestReplay:
     def test_refuses_what_is_not_moves(self, value):
         with pytest.raises(KinkEqError, match="^replay takes an iterable of Congruence"):
             replay(SymMatrix.from_rows([[7]]), value)
+
+    @pytest.mark.parametrize("start", [None, "x"])
+    def test_refuses_a_start_that_is_not_a_matrix(self, start):
+        # an empty move list applies no move, so the start is checked where it enters
+        with pytest.raises(KinkEqError, match="^replay needs a SymMatrix"):
+            replay(start, [])

@@ -142,7 +142,7 @@ def test_round_takes_one_basis_and_one_gram():
     from ``_integralizing_basis``, which ``integralize_first_row`` shares,
     and its matrix from one ``gram``: it neither calls
     ``integralize_first_row`` nor pops a move back off, and the reducer
-    builds no second shear to fuse."""
+    builds no second shear to fuse and transposes no basis into rows."""
     path = ROOT / "src" / "kinkeq" / "reducer.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -157,7 +157,7 @@ def test_round_takes_one_basis_and_one_gram():
     assert len(grams) == 1
     for caller in ("_elimination_round", "integralize_first_row"):
         assert _calls(functions[caller], "_integralizing_basis"), caller
-    assert not _names(path, {"shear", "matmul"})
+    assert not _names(path, {"shear", "matmul", "transpose"})
 
 
 def test_cct_search_keeps_one_function_per_row():

@@ -207,7 +207,7 @@ class TestIntegralizingBasis:
             G = random_sym_rational(rng, rng.randint(1, 5), 5, 6)
             if not inertia(G).n_plus:
                 continue
-            C = extend_primitive(find_positive_vector(G)).transpose()  # the round's own C
+            C = extend_primitive(find_positive_vector(G))  # the round's own C
             basis, kinks = _integralizing_basis(G, C)
             out, moves = integralize_first_row(G.gram(C))
             assert G.gram(basis) == out
