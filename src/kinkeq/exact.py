@@ -13,7 +13,9 @@ congruence ``congruence(G, P)`` is its size and determinant checks
 followed by ``G.gram(P)``.  The kink ``SymMatrix.block_sum(sign)``
 mirrors the unkink ``strip_block(sign)``: sign is the int +-1, den stays
 and the trailing row is (0, ..., 0, sign * den).  ``_block_sum_rows``
-builds every such padding.
+builds every such padding, and ``block_extension(inner, outer)`` reads
+back from the entries whether outer is inner plus such a block, so the
+verifier audits a kink or an unkink without an elimination.
 
 Next to the move kernels sit the reducer's two unchecked kernels, which
 the verifier never calls: ``gram``, which gives each round its vector
@@ -387,6 +389,26 @@ class SymMatrix:
         return SymMatrix(d, rows)
 
 
+def block_extension(inner: SymMatrix, outer: SymMatrix) -> int | None:
+    """The sign s when outer is inner (+) [s], s = +-1, else None.
+
+    Read from the entries alone, as ``block_sum`` and ``strip_block`` leave
+    them: the same den, every row of inner equal to the start of outer's
+    row, and a last row and column of outer that are zero but for +-den on
+    the diagonal.  Then inertia(outer) is inertia(inner) plus the sign of
+    s, and |det outer| = |det inner|.
+    """
+    d, rows = inner.den, inner.rows
+    if outer.den != d or len(outer.rows) != len(rows) + 1:
+        return None
+    *head, last = outer.rows
+    if last[-1] not in (d, -d) or any(last[:-1]):
+        return None
+    if any(row[-1] or row[:-1] != kept for row, kept in zip(head, rows)):
+        return None
+    return 1 if last[-1] > 0 else -1
+
+
 @dataclass(frozen=True)
 class Inertia:
     """Counts of positive, negative, and zero eigenvalues."""
@@ -489,14 +511,6 @@ def determinant(G: SymMatrix) -> Fraction:
     exactly when G has an odd number of negative eigenvalues."""
     signs, abs_det = inertia_and_abs_det(G)
     return -abs_det if signs.n_minus % 2 else abs_det
-
-
-def is_unimodular(P: IntMatrix) -> bool:
-    """True iff P is square with determinant +1 or -1."""
-    require_int_matrix(P, "P")
-    if P.rows != P.cols:
-        return False
-    return _det_int(P.entries) in (1, -1)
 
 
 def _pivot(m: list[list[int]], p: int, prev: int, stamps: list[int], ends: list[int]) -> bool:

@@ -8,7 +8,11 @@ A move is one of:
 
 A ``Trace`` records a start matrix, a move list, and a claimed end matrix;
 ``verify_trace`` replays it and audits the two quantities every valid move
-preserves: nullity and |determinant|.
+preserves: nullity and |determinant|.  The start and every congruence are
+audited by a full elimination.  A step whose matrix is the previous one
+plus a block [+-1], or the previous one less such a block, as
+``block_extension`` reads from the entries, is audited by the block-sum
+rule instead: one sign more or less in the inertia, and the same |det|.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .exact import (
     Inertia,
     IntMatrix,
     SymMatrix,
+    block_extension,
     congruence,
     inertia_and_abs_det,
     require_sym_matrix,
@@ -100,7 +105,9 @@ def require_trace(trace: object, what: str) -> None:
 
 @dataclass(frozen=True)
 class StepAudit:
-    """Post-move snapshot used by the |det|/nullity audit."""
+    """Post-move snapshot used by the |det|/nullity audit: the inertia and
+    |det| of the matrix after the step, whichever way ``verify_trace``
+    took them."""
 
     index: int  # -1 for the start matrix
     kind: str
@@ -143,13 +150,34 @@ def _kind(move: Move) -> str:
     return f"unkink({move.sign:+d})"
 
 
+def _audit(before: SymMatrix, audit: StepAudit, after: SymMatrix) -> tuple[Inertia, Fraction]:
+    """Inertia and |det| of ``after``, given the ``audit`` of ``before``.
+
+    When one of the two matrices is the other plus a block [s], as
+    ``block_extension`` reads from their entries, the sign of s is added to
+    or taken from the inertia and |det| stays; otherwise ``after`` is
+    eliminated in full.
+    """
+    step, sign = 1, block_extension(before, after)
+    if sign is None:
+        step, sign = -1, block_extension(after, before)
+        if sign is None:
+            return inertia_and_abs_det(after)
+    signs = audit.inertia
+    if sign > 0:
+        return Inertia(signs.n_plus + step, signs.n_minus, signs.n_zero), audit.abs_det
+    return Inertia(signs.n_plus, signs.n_minus + step, signs.n_zero), audit.abs_det
+
+
 def verify_trace(trace: Trace) -> VerificationReport:
     """Replay a trace, checking every move precondition and the end matrix.
 
     Never raises on a ``Trace``, since a Trace checks its fields when it is
     built; failures are reported with the first bad step index.  Each audit
-    entry records inertia and |det| after the step, both from one fresh
-    elimination of the replayed matrix.  Nullity and |det| are constant along
+    entry records inertia and |det| after the step, as ``_audit`` takes
+    them from the replayed matrix and the step before: the start and every
+    congruence by a full elimination, a step that adds or strips a block
+    [+-1] by the block-sum rule.  Nullity and |det| are constant along
     valid traces, so the first step whose nullity or |det| differs from the
     start's fails, with both values in the reason.
     """
@@ -158,13 +186,14 @@ def verify_trace(trace: Trace) -> VerificationReport:
     first = StepAudit(-1, "start", current.n, *inertia_and_abs_det(current))
     steps = [first]
     for i, move in enumerate(trace.moves):
+        before = current
         try:
             current = apply_move(current, move)
         except KinkEqError as exc:
             return VerificationReport(
                 False, tuple(steps), failed_step=i, reason=f"{type(exc).__name__}: {exc}"
             )
-        step = StepAudit(i, _kind(move), current.n, *inertia_and_abs_det(current))
+        step = StepAudit(i, _kind(move), current.n, *_audit(before, steps[-1], current))
         steps.append(step)
         if (step.inertia.n_zero, step.abs_det) != (first.inertia.n_zero, first.abs_det):
             return VerificationReport(

@@ -63,6 +63,10 @@ def four_squares(k: int) -> tuple[int, int, int, int]:
 
     Returns the lexicographically greatest such tuple, found by descending
     search on (a, b, c); existence is classical, so the search always hits.
+    While 8 | k the search runs on k / 4 and the result is doubled: squares
+    are 0, 1 or 4 mod 8, so every representation of a multiple of 8 has
+    four even terms, and the representations of k are exactly twice those
+    of k / 4, in the same order.
     """
     try:
         k = index(k)
@@ -70,6 +74,10 @@ def four_squares(k: int) -> tuple[int, int, int, int]:
         raise KinkEqError(f"four_squares needs an integer, got {type(k).__name__}") from None
     if k < 0:
         raise KinkEqError(f"four_squares needs a nonnegative integer, got {write_number(k)}")
+    scale = 1
+    while k and not k % 8:
+        k //= 4
+        scale *= 2
     for a in range(isqrt(k), -1, -1):
         r1 = k - a * a
         for b in range(min(a, isqrt(r1)), -1, -1):
@@ -78,7 +86,7 @@ def four_squares(k: int) -> tuple[int, int, int, int]:
                 r3 = r2 - c * c
                 d = isqrt(r3)
                 if d * d == r3 and d <= c:
-                    return (a, b, c, d)
+                    return (scale * a, scale * b, scale * c, scale * d)
     raise InternalError("unreachable: every nonnegative integer is a sum of four squares")
 
 

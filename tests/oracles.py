@@ -1,8 +1,9 @@
 """Independent oracles and random generators for the test suite.
 
 Everything here is deliberately written with different algorithms than the
-package under test: determinants by cofactor expansion, congruences by the
-dense rational triple product, matrix products by dense dot products,
+package under test: determinants and unimodularity by cofactor expansion,
+congruences by the dense rational triple product, four squares by a
+descending search with no shortcut, matrix products by dense dot products,
 eigenvalue sign counts from the exact
 characteristic polynomial, a diagonalizing congruence by Gaussian
 elimination over the rationals.  Values frozen in the tests were computed
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 from kinkeq import IntMatrix, SymMatrix
 
@@ -35,6 +36,26 @@ def cofactor_det(rows):
         ]
         total += (-1) ** j * Fraction(rows[0][j]) * cofactor_det(minor)
     return total
+
+
+def is_unimodular(P: IntMatrix) -> bool:
+    """True iff P is square with determinant +1 or -1, by cofactor expansion."""
+    return P.rows == P.cols and cofactor_det(P.entries) in (1, -1)
+
+
+def four_squares_oracle(k: int) -> tuple[int, int, int, int]:
+    """The lexicographically greatest (a, b, c, d), a >= b >= c >= d >= 0,
+    with a^2 + b^2 + c^2 + d^2 = k, by plain descending search on k itself."""
+    for a in range(isqrt(k), -1, -1):
+        for b in range(a, -1, -1):
+            for c in range(b, -1, -1):
+                r = k - a * a - b * b - c * c
+                if r < 0:
+                    continue
+                d = isqrt(r)
+                if d * d == r and d <= c:
+                    return (a, b, c, d)
+    raise AssertionError(f"no four squares found for {k}")
 
 
 def congruence_oracle(G: SymMatrix, P: IntMatrix) -> SymMatrix:

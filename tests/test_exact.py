@@ -26,7 +26,6 @@ from kinkeq import (
     icct_trace,
     inertia,
     integralize_first_row,
-    is_unimodular,
     primitive_scale,
     reduce_binary_form,
     replay,
@@ -44,7 +43,7 @@ from kinkeq.errors import (
     ZeroVector,
 )
 from kinkeq.cct import reduced_gram_factor
-from kinkeq.exact import Inertia, diagonalizing_congruence, inertia_and_abs_det
+from kinkeq.exact import Inertia, block_extension, diagonalizing_congruence, inertia_and_abs_det
 from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX
 
 from oracles import (
@@ -54,6 +53,7 @@ from oracles import (
     direct_sum,
     elimination_invariants,
     inertia_oracle,
+    is_unimodular,
     matmul_oracle,
     quadratic_value,
     random_banded_sym,
@@ -145,6 +145,53 @@ class TestInertiaAndAbsDet:
     def test_agrees_with_inertia_and_determinant(self, G):
         assert inertia_and_abs_det(G) == (inertia(G), abs(determinant(G)))
         assert inertia_and_abs_det(G)[1] == abs(cofactor_det([list(r) for r in G.entries]))
+
+
+class TestBlockExtension:
+    """Whether outer is inner (+) [s], read from the entries alone."""
+
+    G = SymMatrix.from_rows([[2, 1], [1, Fraction(1, 3)]])
+
+    @staticmethod
+    def _edit(M, i, j, v):
+        rows = [list(row) for row in M.rows]
+        rows[i][j] = v
+        return SymMatrix(M.den, tuple(map(tuple, rows)))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_reads_the_sign(self, sign):
+        assert block_extension(self.G, self.G.block_sum(sign)) == sign
+        assert block_extension(SymMatrix.empty(), SymMatrix.diagonal([sign])) == sign
+        # the other way round, or at the same size, is no extension
+        assert block_extension(self.G.block_sum(sign), self.G) is None
+        assert block_extension(self.G, self.G) is None
+        assert block_extension(SymMatrix.empty(), SymMatrix.diagonal([2 * sign])) is None
+
+    @pytest.mark.parametrize(
+        "outer",
+        [
+            _edit(G.block_sum(1), 0, 1, 4),  # a shared entry (asymmetric)
+            SymMatrix(6, G.block_sum(1).rows),  # another den
+            SymMatrix(6, tuple(tuple(2 * x for x in row) for row in G.block_sum(1).rows)),
+            _edit(G.block_sum(1), 2, 0, 3),  # the new row
+            _edit(G.block_sum(1), 0, 2, 3),  # the new column
+            _edit(G.block_sum(1), 2, 2, 6),  # a block [2]
+            SymMatrix.diagonal([2, 1, 1]),
+        ],
+        ids=["shared", "den", "den-not-least", "row", "column", "block-2", "other"],
+    )
+    def test_refuses_any_other_entry(self, outer):
+        assert block_extension(self.G, outer) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(sym_matrices(), st.sampled_from([1, -1]))
+    def test_the_block_sum_rule(self, G, sign):
+        # the audit a kink earns by the rule is the one a full elimination gives
+        signs, abs_det = inertia_and_abs_det(G)
+        plus, minus = (1, 0) if sign > 0 else (0, 1)
+        expected = Inertia(signs.n_plus + plus, signs.n_minus + minus, signs.n_zero), abs_det
+        assert block_extension(G, G.block_sum(sign)) == sign
+        assert inertia_and_abs_det(G.block_sum(sign)) == expected
 
 
 class TestDeterminant:
@@ -614,7 +661,6 @@ class TestReaders:
             (lambda: IntMatrix.shear(2, None), NotIntegerMatrix),
             (lambda: SymMatrix.from_rows([[1]]).gram([[1]]), NotIntegerMatrix),
             (lambda: SymMatrix.diagonal([1, 2]).gram(IntMatrix.identity(1)), SizeMismatch),
-            (lambda: is_unimodular(None), NotIntegerMatrix),
             (lambda: icct_trace(None), NotIntegerMatrix),
             (lambda: icct_trace([[1]]), NotIntegerMatrix),
             (lambda: GramFactor.from_matrix(None), NotIntegerMatrix),
@@ -633,7 +679,7 @@ class TestReaders:
         ],
         ids=[
             "congruence", "matmul", "unit_complement", "shear", "gram-list", "gram-narrow",
-            "is_unimodular", "icct-none", "icct-list", "from_matrix", "gram-factor-none",
+            "icct-none", "icct-list", "from_matrix", "gram-factor-none",
             "reduced-E-none",
             "reduced-none", "reduced-1x1", "reduced-rational", "reduced-negative",
             "reduced-unreduced",

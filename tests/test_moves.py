@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kinkeq.moves
 from kinkeq import (
     Congruence,
     IntMatrix,
@@ -19,15 +20,18 @@ from kinkeq import (
     congruence,
     count_moves,
     determinant,
+    icct_trace,
     inertia,
+    reduce,
     replay,
     trace_stats,
     verify_trace,
 )
 from kinkeq.errors import InvalidTrace, KinkEqError, UnkinkShapeViolation
-from kinkeq.worked_examples import five_to_minus_five_trace
+from kinkeq.reducer import TARGETS
+from kinkeq.worked_examples import five_to_minus_five_trace, obstructed_matrix_reduction_trace
 
-from oracles import random_sym, random_unimodular
+from oracles import random_int_matrix, random_sym, random_sym_rational, random_unimodular
 
 
 class TestApplyMove:
@@ -254,3 +258,138 @@ class TestReplay:
         # an empty move list applies no move, so the start is checked where it enters
         with pytest.raises(KinkEqError, match="^replay needs a SymMatrix"):
             replay(start, [])
+
+
+def _reducer_traces(seed: int) -> list[Trace]:
+    """One reduction per target of a seeded integer and a seeded rational
+    matrix, each redrawn until it is nonsingular."""
+    rng = random.Random(seed)
+    traces = []
+    for draw in (
+        lambda: random_sym(rng, rng.randint(1, 4), 5),
+        lambda: random_sym_rational(rng, rng.randint(1, 3), 5, 4),
+    ):
+        G = draw()
+        while determinant(G) == 0:
+            G = draw()
+        traces.extend(reduce(G, target) for target in TARGETS)
+    return traces
+
+
+def _example_traces() -> list[Trace]:
+    rng = random.Random("audit-icct")
+    chains = [icct_trace(random_int_matrix(rng, n, m, bound=2)) for n, m in ((1, 1), (2, 3), (3, 2))]
+    return [five_to_minus_five_trace(), obstructed_matrix_reduction_trace(), *chains]
+
+
+def _full_elimination_report(trace: Trace):
+    """The report of ``verify_trace`` with no block-sum rule: every step's
+    inertia and |det| from a full elimination of its matrix."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kinkeq.moves, "block_extension", lambda inner, outer: None)
+        return verify_trace(trace)
+
+
+_block_sum, _strip_block = SymMatrix.block_sum, SymMatrix.strip_block
+
+
+def _edited(G: SymMatrix, edit) -> SymMatrix:
+    rows = [list(row) for row in G.rows]
+    edit(rows, G.den)
+    return SymMatrix(G.den, tuple(map(tuple, rows)))
+
+
+def _shift_corner(rows, den):
+    if rows:
+        rows[0][0] += den
+
+
+def _couple_last(rows, den):
+    if len(rows) > 1:
+        rows[0][-1] = rows[-1][0] = den
+
+
+def _lax_strip(G, sign):
+    """An unkink kernel that strips the last row and column, whatever they hold."""
+    if not G.rows:
+        return _strip_block(G, sign)
+    return SymMatrix(G.den, tuple(row[:-1] for row in G.rows[:-1]))
+
+
+# faulty kink and unkink kernels: each alters an entry the block-sum rule reads
+TAMPERED_KERNELS = {
+    "kink-shared-entry": ("block_sum", lambda G, s: _edited(_block_sum(G, s), _shift_corner)),
+    "kink-den": ("block_sum", lambda G, s: SymMatrix(2 * G.den, _block_sum(G, s).rows)),
+    "kink-new-row": ("block_sum", lambda G, s: _edited(_block_sum(G, s), _couple_last)),
+    "kink-opposite-sign": ("block_sum", lambda G, s: _block_sum(G, -s)),
+    "unkink-shared-entry": ("strip_block", lambda G, s: _edited(_strip_block(G, s), _shift_corner)),
+    "unkink-den": ("strip_block", lambda G, s: SymMatrix(2 * G.den, _strip_block(G, s).rows)),
+    "unkink-lax": ("strip_block", _lax_strip),
+}
+
+
+def _tampered_moves(trace: Trace) -> list[tuple]:
+    """The moves of ``trace``, then with every unkink's sign flipped, then
+    with a shear before every unkink that couples the last coordinate to
+    the first; the last two need a lax unkink kernel to get past the unkink."""
+    flipped = tuple(Unkink(-m.sign) if isinstance(m, Unkink) else m for m in trace.moves)
+    coupled, current = [], trace.start
+    for move in trace.moves:
+        if isinstance(move, Unkink) and current.n > 1:
+            coupled.append(Congruence(IntMatrix.shear(current.n, {(0, current.n - 1): 1})))
+        coupled.append(move)
+        current = apply_move(current, move)
+    return [trace.moves, flipped, tuple(coupled)]
+
+
+class TestAuditOracle:
+    """The audit equals a full elimination after every move, on valid
+    traces and on traces through faulty kink and unkink kernels."""
+
+    def _check(self, traces):
+        for trace in traces:
+            assert verify_trace(trace).valid
+            for moves in _tampered_moves(trace):
+                tampered = Trace(trace.start, moves, trace.end)
+                assert verify_trace(tampered) == _full_elimination_report(tampered)
+                for name, kernel in TAMPERED_KERNELS.values():
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(SymMatrix, name, kernel)
+                        report = verify_trace(tampered)
+                        assert report == _full_elimination_report(tampered)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_reducer_traces(self, seed):
+        self._check(_reducer_traces(seed))
+
+    def test_icct_chains_and_worked_examples(self):
+        self._check(_example_traces())
+
+    def test_faulty_kernels_are_caught(self):
+        # every faulty kernel fails some trace it replays (the lax unkink
+        # only a tampered one), so the comparisons above are not between
+        # two reports of untouched replays
+        trace = five_to_minus_five_trace()
+        tampered = [Trace(trace.start, moves, trace.end) for moves in _tampered_moves(trace)]
+        for label, (name, kernel) in TAMPERED_KERNELS.items():
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(SymMatrix, name, kernel)
+                reports = [verify_trace(t) for t in tampered]
+            assert not all(report.valid for report in reports), label
+
+    def test_eliminates_once_per_congruence(self, monkeypatch):
+        # a kink or an unkink is audited from the step before, so a valid
+        # trace is eliminated once for the start and once per congruence
+        calls = []
+
+        def counted(G):
+            calls.append(G)
+            return audit(G)
+
+        audit = kinkeq.moves.inertia_and_abs_det
+        monkeypatch.setattr(kinkeq.moves, "inertia_and_abs_det", counted)
+        for trace in _reducer_traces(7) + _example_traces():
+            calls.clear()
+            assert verify_trace(trace).valid
+            assert len(calls) == 1 + count_moves(trace.moves).congruences

@@ -44,7 +44,7 @@ from kinkeq.formats import parse_trace, serialize_trace
 from kinkeq.reducer import _integralizing_basis
 from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX
 
-from oracles import quadratic_value, random_sym, random_sym_rational
+from oracles import four_squares_oracle, quadratic_value, random_sym, random_sym_rational
 
 
 class TestFourSquares:
@@ -76,6 +76,18 @@ class TestFourSquares:
         a, b, c, d = four_squares(k)
         assert a * a + b * b + c * c + d * d == k
         assert a >= b >= c >= d >= 0
+
+    def test_multiples_of_eight_match_the_plain_search(self):
+        # the factors of 4 stripped from a multiple of 8 leave the
+        # lexicographically greatest tuple unchanged
+        for k in range(0, 4001, 8):
+            assert four_squares(k) == four_squares_oracle(k), k
+
+    @pytest.mark.parametrize("e", range(1, 31))
+    def test_powers_of_four_times_seven(self, e):
+        # the plain search on 4^e * 7 does not finish in 20 s from e = 12 on;
+        # with the factors of 4 stripped it searches 28 = 5^2 + 1 + 1 + 1
+        assert four_squares(4**e * 7) == tuple(2 ** (e - 1) * x for x in (5, 1, 1, 1))
 
 
 def _witness_only(seed, n):
