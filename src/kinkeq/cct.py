@@ -41,7 +41,7 @@ class GramFactor:
     def from_matrix(cls, C: IntMatrix) -> "GramFactor":
         require_int_matrix(C, "C")
         cols = []
-        for col in map(C.column, range(C.cols)):
+        for col in zip(*C.entries):
             lead = next((x for x in col if x != 0), 0)
             if lead:
                 cols.append(col if lead > 0 else tuple(-x for x in col))

@@ -9,7 +9,7 @@ value throughout, with determinant 1 and inertia (0, 0, 0).
 The moves act here.  ``SymMatrix.gram(P)`` is the one unchecked product:
 the Gram matrix P (dG (+) -d I_m) P^T of P's rows, by ``_row_product``,
 the one matrix product, which ``IntMatrix.matmul`` shares.  The checked
-congruence ``congruence(G, P)`` is its size and determinant checks
+congruence ``congruence(G, P)`` is its type, size and determinant checks
 followed by ``G.gram(P)``.  The kink ``SymMatrix.block_sum(sign)``
 mirrors the unkink ``strip_block(sign)``: sign is the int +-1, den stays
 and the trailing row is (0, ..., 0, sign * den).  ``_block_sum_rows``
@@ -154,6 +154,32 @@ def require_sym_matrix(G: object, what: str) -> None:
         raise KinkEqError(f"{what} needs a SymMatrix, got {type(G).__name__}")
 
 
+def require_lift(G: object, what: str) -> None:
+    """The check that ``what`` is a ``SymMatrix`` whose fields form a lift,
+    as every constructor and kernel here leaves them: ``den`` a positive
+    int, ``rows`` a square, symmetric tuple of int tuples, and
+    gcd(den, entries) = 1.  ``SymMatrix`` itself does not check this, so
+    that a kernel's output costs nothing more."""
+    require_sym_matrix(G, what)
+    den, rows = G.den, G.rows
+    try:
+        lift = (
+            type(den) is int
+            and den > 0
+            and type(rows) is tuple
+            and tuple(zip(*rows)) == rows  # so the rows are tuples, square and symmetric
+            and set(map(type, chain.from_iterable(rows))) <= {int}
+            and (den == 1 or gcd(den, *chain.from_iterable(rows)) == 1)
+        )
+    except TypeError:  # a row that is not iterable
+        lift = False
+    if not lift:
+        raise KinkEqError(
+            f"{what} is not the lift of a symmetric matrix: den a positive int,"
+            " rows a square symmetric tuple of int tuples, gcd(den, entries) = 1"
+        )
+
+
 def _block_sum_rows(rows: Sequence[tuple[int, ...]], v: int, m: int) -> list[tuple[int, ...]]:
     """The rows of the square ``rows`` (+) v I_m: each row padded with m
     zeros, then m rows (0, ..., 0, v, 0, ..., 0) with v on the diagonal."""
@@ -168,11 +194,21 @@ def _block_sum_rows(rows: Sequence[tuple[int, ...]], v: int, m: int) -> list[tup
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Rectangular integer matrix; no symmetry assumed."""
+    """Rectangular integer matrix; no symmetry assumed.  ``entries`` must
+    hold ``rows`` rows of ``cols`` entries (``SizeMismatch`` otherwise);
+    ``congruence``, the verifier's path, checks that they are ints."""
 
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        try:
+            shaped = len(self.entries) == self.rows and set(map(len, self.entries)) <= {self.cols}
+        except TypeError:
+            shaped = False
+        if not shaped:
+            raise SizeMismatch("the entries are not `rows` rows of `cols` entries each")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -182,8 +218,6 @@ class IntMatrix:
             if cols < 0:
                 raise SizeMismatch(f"{write_number(cols)} columns given, a matrix has at least 0")
         width = len(data[0]) if data else cols or 0
-        if any(len(row) != width for row in data):
-            raise SizeMismatch("ragged rows")
         if cols not in (None, width):
             raise SizeMismatch(f"{write_number(cols)} columns given, the rows have {width}")
         return cls(len(data), width, data)
@@ -248,9 +282,6 @@ class IntMatrix:
             raise SizeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
         product = _row_product(self.entries, other.entries, other.cols)
         return IntMatrix(self.rows, other.cols, product)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
 
 
 @dataclass(frozen=True)
@@ -581,7 +612,9 @@ def _eliminate(a: list[list[int]]) -> list[int]:
     # the index of each row's last nonzero entry, -1 for a zero row; a
     # dense row is answered by its last entry alone
     ends = [
-        len(row) - 1 if row[-1] else len(row) - next(compress(count(1), reversed(row)), len(row))
+        len(row) - 1
+        if row[-1]
+        else len(row) - next(compress(count(1), reversed(row)), len(row) + 1)
         for row in a
     ]
     pivots = []
@@ -660,11 +693,14 @@ def _row_product(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]], 
 
 def congruence(G: SymMatrix, P: IntMatrix) -> SymMatrix:
     """Return P G P^T for unimodular P of the same size as G: the checked
-    move, which is its type, size and determinant checks and then ``G.gram(P)``."""
+    move, which is its type checks (P an IntMatrix of int entries), size and
+    determinant checks and then ``G.gram(P)``."""
     require_sym_matrix(G, "congruence")
     require_int_matrix(P, "P")
     if P.rows != P.cols or P.rows != G.n:
         raise SizeMismatch(f"P is {P.rows}x{P.cols}, G is {G.n}x{G.n}")
+    if not set(map(type, chain.from_iterable(P.entries))) <= {int}:
+        raise NotIntegerMatrix("the entries of P are not all int")
     det = _det_int(P.entries)
     if det not in (1, -1):
         raise NotUnimodular(f"det(P) = {write_number(det)}")

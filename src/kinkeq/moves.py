@@ -31,6 +31,7 @@ from .exact import (
     block_extension,
     congruence,
     inertia_and_abs_det,
+    require_lift,
     require_sym_matrix,
     write_number,
 )
@@ -89,8 +90,8 @@ class Trace:
     end: SymMatrix
 
     def __post_init__(self):
-        if not (isinstance(self.start, SymMatrix) and isinstance(self.end, SymMatrix)):
-            raise KinkEqError("a trace starts and ends at a SymMatrix")
+        require_lift(self.start, "a trace's start")
+        require_lift(self.end, "a trace's end")
         if not isinstance(self.moves, tuple) or not all(
             isinstance(move, _MOVE_KINDS) for move in self.moves
         ):

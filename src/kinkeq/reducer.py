@@ -14,9 +14,9 @@ one congruence Q that makes every change of basis below, and one unkink:
 
 The reducer builds every basis change itself, so it replays none of its
 moves through the checked path of ``moves``; the verifier alone checks
-them.  Steps 1 and 2 are one basis C, read from G and b alone by
-``_integralizing_basis``, and one unchecked product ``G.gram(C)``.
-Steps 3 and 4 come from one kernel,
+them.  Steps 1 and 2 are one basis C, which the public step
+``integralize_first_row`` reads from G and b alone, and one unchecked
+product ``G.gram(C)``.  Steps 3 and 4 come from one kernel,
 ``SymMatrix.unit_complement``, which splits off the round's vector u with
 <u, u> = 1 and returns both the congruence Q of step 4 and the next matrix,
 the form on u^perp, which equals what the moves leave.
@@ -29,6 +29,7 @@ Per eliminated eigenvalue the round spends at most four negative kinks
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, isqrt
 from operator import index, mul
 
@@ -37,6 +38,7 @@ from .errors import (
     NonpositiveCorner,
     NoPositiveEigenvalue,
     SingularForDefiniteTarget,
+    SizeMismatch,
     KinkEqError,
 )
 from .exact import (
@@ -46,6 +48,7 @@ from .exact import (
     extend_primitive,
     inertia,
     primitive_scale,
+    require_int_matrix,
     require_sym_matrix,
     write_number,
 )
@@ -149,20 +152,33 @@ def _shrink_positive_vector(G: SymMatrix, b: tuple[int, ...]) -> tuple[int, ...]
     return primitive_scale(best)
 
 
-def _integralizing_basis(G: SymMatrix, C: IntMatrix) -> tuple[IntMatrix, list[Move]]:
+def integralize_first_row(G: SymMatrix, C: IntMatrix) -> tuple[IntMatrix, list[Move]]:
     """The round's basis with an integral first row, and the kinks it costs.
 
-    Row 0 of the square C is b.  The first row of C G C^T is (b G) C^T, and
-    C^T is unimodular, so it has the gcd of b G: d = den / gcd(den, b dG)
-    is the lcm of its denominators, read from G and b alone.  For d = 1 the
-    basis is C and no kink is spent.  Otherwise one kink [-1] and the basis
-    S (C (+) [1]), S the shear with rows (d, 0.., 1) / identity /
-    (d-1, 0.., 1), so the basis rows are (d b, 1), the other rows of C
-    padded with 0, and ((d-1) b, 1), and the new corner is d^2 k - 1 for
-    the corner k = b^T G b.
+    C is square and unimodular, as ``extend_primitive`` builds it, with
+    row 0 b and b^T G b > 0 (``NonpositiveCorner`` otherwise); its type
+    and size are checked, its determinant is not.  The first row of
+    C G C^T is (b G) C^T, and C^T is unimodular, so it has the gcd of b G:
+    d = den / gcd(den, b dG) is the lcm of its denominators, read from G
+    and b alone.  For d = 1 the basis is C and no kink is spent.
+    Otherwise one kink [-1] and the basis S (C (+) [1]), S the shear with
+    rows (d, 0.., 1) / identity / (d-1, 0.., 1), so the basis rows are
+    (d b, 1), the other rows of C padded with 0, and ((d-1) b, 1), and the
+    new corner is d^2 k - 1 for the corner k = b^T G b.  The kinks and
+    then ``Congruence(basis)`` take G to ``G.gram(basis)``.
     """
-    b = C.entries[0]
-    d = G.den // gcd(G.den, *(sum(map(mul, row, b)) for row in G.rows))
+    require_sym_matrix(G, "integralize_first_row")
+    require_int_matrix(C, "the basis")
+    n = G.n
+    if C.rows != n or C.cols != n:
+        raise SizeMismatch(f"the basis is {C.rows}x{C.cols}, the matrix is {n}x{n}")
+    b = C.entries[0] if n else ()
+    bg = [sum(map(mul, row, b)) for row in G.rows]  # b dG
+    corner = sum(map(mul, bg, b))  # b dG b, the sign of b^T G b
+    if corner <= 0:
+        got = write_number(Fraction(corner, G.den)) if n else "0x0 matrix"
+        raise NonpositiveCorner(f"top-left entry must be positive, got {got}")
+    d = G.den // gcd(G.den, *bg)
     if d == 1:
         return C, []
     rows = [
@@ -170,29 +186,7 @@ def _integralizing_basis(G: SymMatrix, C: IntMatrix) -> tuple[IntMatrix, list[Mo
         *(row + (0,) for row in C.entries[1:]),
         (*((d - 1) * x for x in b), 1),
     ]
-    return IntMatrix.from_rows(rows, cols=C.cols + 1), [Kink(-1)]
-
-
-def integralize_first_row(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
-    """Make the first row integral at the cost of one negative kink.
-
-    For corner k and d the lcm of the first-row denominators, kinks by [-1]
-    and applies the determinant-1 congruence P with rows (d, 0.., 1) /
-    identity / (d-1, 0.., 1); the new corner d^2 k - 1 is a positive
-    integer.  No-op when the first row is already integral.  P is
-    ``_integralizing_basis`` of the identity, the round's builder, and the
-    matrix comes from ``G.gram(P)``, unchecked: P is a shear of
-    determinant 1.
-    """
-    require_sym_matrix(G, "integralize_first_row")
-    n = G.n
-    if n == 0 or G[0, 0] <= 0:
-        got = "0x0 matrix" if n == 0 else write_number(G[0, 0])
-        raise NonpositiveCorner(f"top-left entry must be positive, got {got}")
-    P, moves = _integralizing_basis(G, IntMatrix.identity(n))
-    if not moves:
-        return G, []
-    return G.gram(P), [*moves, Congruence(P)]
+    return IntMatrix.from_rows(rows, cols=n + 1), [Kink(-1)]
 
 
 def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
@@ -200,7 +194,7 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     (5 for rational input), one congruence Q and exactly one positive unkink.
 
     C has first row b, with the integralization shear S fused in as
-    S (C (+) [1]) by ``_integralizing_basis``, and H = ``G.gram(C)`` is
+    S (C (+) [1]) by ``integralize_first_row``, and H = ``G.gram(C)`` is
     the round's one Gram product.  With <x, y> the form after the kinks,
     u = (first row of C, the nonzero squares s of k - 1) has
     <u, u> = k - sum s^2 = 1.  ``H.unit_complement(C, squares)`` splits u
@@ -213,9 +207,9 @@ def _elimination_round(G: SymMatrix) -> tuple[SymMatrix, list[Move]]:
     <u, u> = 1; the verifier alone checks the moves.
     """
     b = find_positive_vector(G)
-    C, moves = _integralizing_basis(G, extend_primitive(b))
+    C, moves = integralize_first_row(G, extend_primitive(b))
     H = G.gram(C)
-    k = H.rows[0][0] // H.den  # the corner, whose row _integralizing_basis made integral
+    k = H.rows[0][0] // H.den  # the corner, whose row integralize_first_row made integral
     squares = [s for s in four_squares(k - 1) if s != 0]
     Q, after = H.unit_complement(C, squares)
     moves += [Kink(-1)] * len(squares)

@@ -28,6 +28,7 @@ from kinkeq import (
     inertia,
     reduce,
     reduce_binary_form,
+    replay,
     trace_stats,
     verify_trace,
 )
@@ -138,9 +139,12 @@ def test_criterion_5_rational_reduction_bound_and_integralization_example():
     from kinkeq import integralize_first_row
 
     t0 = time.time()
-    out, moves = integralize_first_row(SymMatrix.from_rows([[Fraction(1, 2)]]))
+    half = SymMatrix.from_rows([[Fraction(1, 2)]])
+    basis, kinks = integralize_first_row(half, IntMatrix.identity(1))
+    out = half.gram(basis)
     assert out == SymMatrix.from_rows([[1, 0], [0, Fraction(-1, 2)]])
-    assert [type(m).__name__ for m in moves] == ["Kink", "Congruence"]
+    assert kinks == [Kink(-1)]
+    assert replay(half, [*kinks, Congruence(basis)]) == out
 
     rng = random.Random(7)
     for _ in range(500):

@@ -178,7 +178,7 @@ class TestReduceBinaryForm:
 class TestCct2x2:
     def test_paper_construction(self):
         factor = reduced_gram_factor(*reduce_binary_form(SymMatrix.from_rows([[2, 1], [1, 2]])))
-        assert sorted(factor.matrix.column(j) for j in range(factor.matrix.cols)) == [
+        assert sorted(zip(*factor.matrix.entries)) == [
             (0, 1),
             (1, 0),
             (1, 1),

@@ -78,6 +78,13 @@ def test_verify_invalid_exit_1(matrix_file, capsys):
     assert "INVALID" in capsys.readouterr().out
 
 
+def test_verify_false_three_to_minus_three_exit_1(matrix_file, capsys):
+    # [3] and [-3] are not kink-equivalent; the one-row P claims to be 4x4
+    text = "trace\n3\n" + "kink -1\n" * 3 + "congr 1 1 1 2\nend -3\n"
+    assert main(["verify", matrix_file("t.txt", text)]) == 1
+    assert "SizeMismatch: P is 1x4, G is 4x4" in capsys.readouterr().out
+
+
 def test_stats(matrix_file, capsys):
     path = matrix_file("t.txt", serialize_trace(five_to_minus_five_trace()))
     assert main(["stats", path]) == 0

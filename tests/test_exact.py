@@ -242,6 +242,15 @@ class TestCongruence:
         with pytest.raises(SizeMismatch):
             congruence(SymMatrix.diagonal([1, 1]), IntMatrix.identity(3))
 
+    @pytest.mark.parametrize(
+        "entry", ["x", Fraction(1), True, 1.0], ids=["str", "fraction", "bool", "float"]
+    )
+    def test_rejects_entries_that_are_not_int(self, entry):
+        # the raw constructor checks the shape only; the checked move reads the entries
+        P = IntMatrix(2, 2, ((1, 0), (0, entry)))
+        with pytest.raises(NotIntegerMatrix, match="the entries of P are not all int"):
+            congruence(SymMatrix.diagonal([1, 1]), P)
+
     def test_non_unimodular_message_is_the_cofactor_det(self):
         # sparse square P with zero pivots: rows are swapped in stale
         rng = random.Random("sparse-det")
@@ -397,14 +406,14 @@ def _unit_complement_by_moves(H, squares):
 
 def _round_basis(G):
     """H, the fused basis and the integralization kinks of an elimination
-    round on G, built as the round builds them."""
+    round on G, built as the round builds them; H is checked against the
+    replay of the vector move, the kinks and the basis's own congruence."""
     C = extend_primitive(find_positive_vector(G))
-    H, moves = integralize_first_row(replay(G, [Congruence(C)]))
-    if not moves:
-        return H, C, []
-    S = moves[1].matrix
-    lifted = [list(row) + [0] for row in C.entries] + [[0] * C.cols + [1]]
-    return H, S.matmul(IntMatrix.from_rows(lifted)), [Kink(-1)]
+    basis, kinks = integralize_first_row(G, C)
+    H = G.gram(basis)
+    assert H == replay(G, [*kinks, Congruence(basis)])
+    assert all(x % H.den == 0 for x in H.rows[0])
+    return H, basis, kinks
 
 
 class TestUnitComplement:
@@ -427,8 +436,7 @@ class TestUnitComplement:
             G = random_sym_rational(rng, n, 6, 4) if rational else random_sym(rng, n, 6)
             if inertia(G).n_plus == 0:
                 continue
-            C = extend_primitive(find_positive_vector(G))
-            H, _ = integralize_first_row(replay(G, [Congruence(C)]))
+            H, _, _ = _round_basis(G)
             squares = [s for s in four_squares(int(H[0, 0]) - 1) if s]
             out = H.unit_complement(IntMatrix.identity(H.n), squares)
             assert out == _unit_complement_by_moves(H, squares)
@@ -590,6 +598,34 @@ class TestIntMatrixFromRows:
     def test_rejects_disagreeing_cols(self):
         with pytest.raises(SizeMismatch):
             IntMatrix.from_rows([[1, 2]], cols=3)
+
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(SizeMismatch, match="not `rows` rows of `cols` entries"):
+            IntMatrix.from_rows([[1, 2], [3]])
+
+    @pytest.mark.parametrize(
+        "rows, cols, entries",
+        [
+            (4, 4, ((1, 1, 1, 2),)),
+            (1, 4, ((1, 1, 1),)),
+            (2, 2, ((1, 0), (0,))),
+            (1, 1, ((1,), (2,))),
+            (0, 3, ((1, 2, 3),)),
+            (1, 1, None),
+            (1, 1, (5,)),
+        ],
+        ids=["rows", "cols", "ragged", "extra_row", "no_rows", "none", "not_rows"],
+    )
+    def test_constructor_checks_the_shape(self, rows, cols, entries):
+        # the first is the P of a false trace from [3] to [-3]: a 1x4 row
+        # that claimed to be 4x4 passed the size check of congruence
+        with pytest.raises(SizeMismatch, match="not `rows` rows of `cols` entries"):
+            IntMatrix(rows, cols, entries)
+
+    def test_constructor_takes_every_shape(self):
+        assert IntMatrix(0, 0, ()) == IntMatrix.identity(0)
+        assert IntMatrix(2, 0, ((), ())) == IntMatrix.from_rows([[], []], cols=0)
+        assert IntMatrix(1, 2, ((1, 2),)).transpose() == IntMatrix(2, 1, ((1,), (2,)))
 
     @pytest.mark.parametrize(
         "call",
@@ -944,7 +980,7 @@ class TestSparseElimination:
         lambda: reduce_binary_form([[1, 0], [0, 1]]),
         lambda: apply_move([[1]], Kink(1)),
         lambda: find_positive_vector([[1]]),
-        lambda: integralize_first_row([[1]]),
+        lambda: integralize_first_row([[1]], IntMatrix.identity(1)),
         lambda: goeritz_matrix(None),
     ],
 )

@@ -27,7 +27,7 @@ from kinkeq import (
     trace_stats,
     verify_trace,
 )
-from kinkeq.errors import InvalidTrace, KinkEqError, UnkinkShapeViolation
+from kinkeq.errors import InvalidTrace, KinkEqError, SizeMismatch, UnkinkShapeViolation
 from kinkeq.reducer import TARGETS
 from kinkeq.worked_examples import five_to_minus_five_trace, obstructed_matrix_reduction_trace
 
@@ -125,6 +125,61 @@ class TestVerifyTrace:
     def test_trace_checks_its_fields(self, fields):
         with pytest.raises(KinkEqError):
             verify_trace(Trace(*fields))
+
+    @pytest.mark.parametrize("at", ["start", "end"])
+    @pytest.mark.parametrize(
+        "G",
+        [
+            SymMatrix(0, ((1,),)),
+            SymMatrix(1, ((1, 2), (3,))),
+            SymMatrix(1, ((1, 2), (3, 4))),
+            SymMatrix(-1, ((1,),)),
+            SymMatrix(Fraction(1, 2), ((1,),)),
+            SymMatrix(True, ((1,),)),
+            SymMatrix(2, ((2,),)),
+            SymMatrix(2, ()),
+            SymMatrix(1, [(1,)]),
+            SymMatrix(1, ([1],)),
+            SymMatrix(1, ((Fraction(1, 2),),)),
+            SymMatrix(1, ((True,),)),
+            SymMatrix(1, None),
+        ],
+        ids=[
+            "den_zero", "ragged", "nonsymmetric", "den_negative", "den_fraction", "den_bool",
+            "den_not_least", "empty_den_2", "rows_list", "row_list", "entry_fraction",
+            "entry_bool", "rows_none",
+        ],
+    )
+    def test_trace_refuses_what_is_not_a_lift(self, G, at):
+        # a matrix built with the raw constructor is refused where the
+        # Trace is built, so verify_trace keeps its promise never to raise
+        G7 = SymMatrix.from_rows([[7]])
+        fields = (G, (), G7) if at == "start" else (G7, (), G)
+        with pytest.raises(KinkEqError, match=f"a trace's {at} is not the lift of a symmetric"):
+            Trace(*fields)
+
+    def test_trace_takes_every_lift(self):
+        for G in (
+            SymMatrix.empty(),
+            SymMatrix.from_rows([[Fraction(1, 2), 1], [1, Fraction(-2, 3)]]),
+            SymMatrix(6, ((3, 2), (2, 0))),
+        ):
+            assert verify_trace(Trace(G, (), G)).valid
+
+    def test_false_three_to_minus_three_is_refused(self):
+        # [3] and [-3] have different linking forms, so no trace joins
+        # them; a one-row P that claims to be 4x4 would map
+        # diag(3, -1, -1, -1) to [3 - 6], and is refused where it is built
+        start, end = SymMatrix.from_rows([[3]]), SymMatrix.from_rows([[-3]])
+        with pytest.raises(SizeMismatch):
+            Trace(start, (Kink(-1),) * 3 + (Congruence(IntMatrix(4, 4, ((1, 1, 1, 2),))),), end)
+
+    def test_congruence_entry_that_is_not_an_int(self):
+        G = SymMatrix.from_rows([[1, 0], [0, 1]])
+        P = IntMatrix(2, 2, ((1, 0), (0, "x")))
+        report = verify_trace(Trace(G, (Congruence(P),), G))
+        assert not report.valid and report.failed_step == 0
+        assert report.reason == "NotIntegerMatrix: the entries of P are not all int"
 
     @pytest.mark.parametrize("check", [verify_trace, trace_stats])
     @pytest.mark.parametrize(

@@ -139,25 +139,25 @@ def test_reducer_never_checks_its_own_moves():
 
 def test_round_takes_one_basis_and_one_gram():
     """``_elimination_round`` takes its basis, integralization included,
-    from ``_integralizing_basis``, which ``integralize_first_row`` shares,
-    and its matrix from one ``gram``: it neither calls
-    ``integralize_first_row`` nor pops a move back off, and the reducer
-    builds no second shear to fuse and transposes no basis into rows."""
+    from the public step ``integralize_first_row``, the reducer's one
+    integralization function, and its matrix from one ``gram``: no private
+    second builder exists, the round pops no move back off, and the
+    reducer builds no second shear to fuse and transposes no basis into
+    rows."""
     path = ROOT / "src" / "kinkeq" / "reducer.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     round_ = functions["_elimination_round"]
-    named = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(round_)}
-    assert not named & {"integralize_first_row", "pop"}
+    assert _calls(round_, "integralize_first_row")
+    assert "_integralizing_basis" not in functions
     grams = [
         node
         for node in ast.walk(round_)
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "gram"
     ]
     assert len(grams) == 1
-    for caller in ("_elimination_round", "integralize_first_row"):
-        assert _calls(functions[caller], "_integralizing_basis"), caller
-    assert not _names(path, {"shear", "matmul", "transpose"})
+    found = _names(path, {"_integralizing_basis", "shear", "matmul", "transpose", "pop"})
+    assert not found, found
 
 
 def test_cct_search_keeps_one_function_per_row():

@@ -37,11 +37,12 @@ from kinkeq.errors import (
     KinkEqError,
     NonpositiveCorner,
     NoPositiveEigenvalue,
+    NotIntegerMatrix,
     SingularForDefiniteTarget,
+    SizeMismatch,
 )
 from kinkeq.exact import diagonalizing_congruence
 from kinkeq.formats import parse_trace, serialize_trace
-from kinkeq.reducer import _integralizing_basis
 from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX
 
 from oracles import four_squares_oracle, quadratic_value, random_sym, random_sym_rational
@@ -165,32 +166,53 @@ class TestFindPositiveVector:
 
 
 class TestIntegralizeFirstRow:
+    """``integralize_first_row(G, C)`` is the round's step: the basis C'
+    and the kinks that take G to ``G.gram(C')``, whose first row is integral."""
+
     def test_half_example(self):
         G = SymMatrix.from_rows([[Fraction(1, 2)]])
-        out, moves = integralize_first_row(G)
+        basis, kinks = integralize_first_row(G, IntMatrix.identity(1))
+        out = G.gram(basis)
         assert out == SymMatrix.from_rows([[1, 0], [0, Fraction(-1, 2)]])
-        assert isinstance(moves[0], Kink) and moves[0].sign == -1
-        assert isinstance(moves[1], Congruence)
-        assert moves[1].matrix == IntMatrix.from_rows([[2, 1], [1, 1]])
+        assert kinks == [Kink(-1)]
+        assert basis == IntMatrix.from_rows([[2, 1], [1, 1]])
+        assert replay(G, [*kinks, Congruence(basis)]) == out
 
     def test_2x2_example(self):
         G = SymMatrix.from_rows([[Fraction(3, 2), Fraction(1, 2)], [Fraction(1, 2), 1]])
-        out, _ = integralize_first_row(G)
+        basis, kinks = integralize_first_row(G, IntMatrix.identity(2))
         expected = SymMatrix.from_rows(
             [[5, 1, 2], [1, 1, Fraction(1, 2)], [2, Fraction(1, 2), Fraction(1, 2)]]
         )
-        assert out == expected
+        assert G.gram(basis) == expected
+        assert replay(G, [*kinks, Congruence(basis)]) == expected
 
     def test_already_integral_is_noop(self):
         G = SymMatrix.from_rows([[7, 2], [2, 0]])
-        out, moves = integralize_first_row(G)
-        assert out == G and moves == []
+        C = IntMatrix.identity(2)
+        assert integralize_first_row(G, C) == (C, [])
+        assert G.gram(C) == G
 
     def test_rejects_nonpositive_corner(self):
+        half = SymMatrix.from_rows([[Fraction(-1, 2)]])
         with pytest.raises(NonpositiveCorner):
-            integralize_first_row(SymMatrix.from_rows([[Fraction(-1, 2)]]))
+            integralize_first_row(half, IntMatrix.identity(1))
         with pytest.raises(NonpositiveCorner):
-            integralize_first_row(SymMatrix.empty())
+            integralize_first_row(SymMatrix.empty(), IntMatrix.identity(0))
+
+    def test_checks_its_arguments(self):
+        G = SymMatrix.from_rows([[Fraction(1, 2), 0], [0, 1]])
+        with pytest.raises(NotIntegerMatrix, match="the basis is an IntMatrix, got list"):
+            integralize_first_row(G, [[1, 0], [0, 1]])
+        with pytest.raises(SizeMismatch, match="the basis is 3x3, the matrix is 2x2"):
+            integralize_first_row(G, IntMatrix.identity(3))
+        with pytest.raises(SizeMismatch, match="the basis is 2x3, the matrix is 2x2"):
+            integralize_first_row(G, IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+        # b^T G b is read through the whole of b, not the corner of G
+        C = IntMatrix.from_rows([[0, 1], [1, 0]])
+        H = SymMatrix.from_rows([[Fraction(1, 2), 0], [0, -1]])
+        with pytest.raises(NonpositiveCorner, match="got -1"):
+            integralize_first_row(H, C)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_corner_is_d_squared_k_minus_1(self, seed):
@@ -201,10 +223,12 @@ class TestIntegralizeFirstRow:
             if G[0, 0] <= 0:
                 continue
             d = lcm(*(G[0, j].denominator for j in range(G.n)))
-            out, moves = integralize_first_row(G)
+            basis, kinks = integralize_first_row(G, IntMatrix.identity(G.n))
+            out = G.gram(basis)
             assert out[0, 0] == (d * d * G[0, 0] - 1 if d > 1 else G[0, 0])
-            assert len(moves) == (2 if d > 1 else 0)
+            assert kinks == ([Kink(-1)] if d > 1 else [])
             assert all(out[0, j].denominator == 1 for j in range(out.n))
+            assert replay(G, [*kinks, Congruence(basis)]) == out
 
 
 class TestIntegralizingBasis:
@@ -214,24 +238,32 @@ class TestIntegralizingBasis:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_integralizing_the_vector_move(self, seed):
+        # the fused basis S (C (+) [1]) against the shear S of the matrix
+        # after the vector move, integralized on its own
         rng = random.Random(f"integralizing-{seed}")
         for _ in range(15):
             G = random_sym_rational(rng, rng.randint(1, 5), 5, 6)
             if not inertia(G).n_plus:
                 continue
             C = extend_primitive(find_positive_vector(G))  # the round's own C
-            basis, kinks = _integralizing_basis(G, C)
-            out, moves = integralize_first_row(G.gram(C))
-            assert G.gram(basis) == out
-            assert kinks == moves[:1]
+            basis, kinks = integralize_first_row(G, C)
+            H = G.gram(C)
+            S, moves = integralize_first_row(H, IntMatrix.identity(H.n))
+            assert G.gram(basis) == H.gram(S)
+            assert kinks == moves
+            if kinks:
+                lifted = [row + (0,) for row in C.entries] + [(0,) * C.cols + (1,)]
+                assert basis == S.matmul(IntMatrix.from_rows(lifted))
+            else:
+                assert basis == C
 
     def test_identity_basis_is_the_shear(self):
         G = SymMatrix.from_rows([[Fraction(1, 2), 0], [0, 1]])
-        basis, kinks = _integralizing_basis(G, IntMatrix.identity(2))
+        basis, kinks = integralize_first_row(G, IntMatrix.identity(2))
         assert basis == IntMatrix.shear(3, {(0, 0): 2, (0, 2): 1, (2, 0): 1})
         assert kinks == [Kink(-1)]
         C = IntMatrix.identity(2)
-        assert _integralizing_basis(SymMatrix.diagonal([3, Fraction(1, 2)]), C) == (C, [])
+        assert integralize_first_row(SymMatrix.diagonal([3, Fraction(1, 2)]), C) == (C, [])
 
 
 def _rounds(G):
@@ -474,8 +506,10 @@ BIG = 10**5000  # past CPython's default int string-conversion limit (4300 digit
         lambda: Unkink(-BIG),
         lambda: four_squares(-BIG),
         lambda: extend_primitive([2 * BIG, 0]),
-        lambda: integralize_first_row(SymMatrix.from_rows([[-BIG]])),
-        lambda: integralize_first_row(SymMatrix.from_rows([[Fraction(-BIG, 3)]])),
+        lambda: integralize_first_row(SymMatrix.from_rows([[-BIG]]), IntMatrix.identity(1)),
+        lambda: integralize_first_row(
+            SymMatrix.from_rows([[Fraction(-BIG, 3)]]), IntMatrix.identity(1)
+        ),
         lambda: IntMatrix.from_rows([[1]], cols=BIG),
     ],
     ids=["kink", "unkink", "four_squares", "extend_primitive", "corner", "rational_corner", "cols"],
