@@ -31,6 +31,7 @@ from .exact import (
     block_extension,
     congruence,
     inertia_and_abs_det,
+    require_int_matrix,
     require_lift,
     require_sym_matrix,
     write_number,
@@ -42,10 +43,7 @@ class Congruence:
     matrix: IntMatrix
 
     def __post_init__(self):
-        if not isinstance(self.matrix, IntMatrix):
-            raise KinkEqError(
-                f"a congruence matrix is an IntMatrix, got {type(self.matrix).__name__}"
-            )
+        require_int_matrix(self.matrix, "a congruence matrix")
 
 
 def _check_sign(kind: str, sign: int) -> None:

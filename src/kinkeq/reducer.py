@@ -49,6 +49,7 @@ from .exact import (
     inertia,
     primitive_scale,
     require_int_matrix,
+    require_lift,
     require_sym_matrix,
     write_number,
 )
@@ -69,7 +70,9 @@ def four_squares(k: int) -> tuple[int, int, int, int]:
     While 8 | k the search runs on k / 4 and the result is doubled: squares
     are 0, 1 or 4 mod 8, so every representation of a multiple of 8 has
     four even terms, and the representations of k are exactly twice those
-    of k / 4, in the same order.
+    of k / 4, in the same order.  The search skips every a for which
+    k - a^2 has the form 4^e (8m + 7): by Legendre's three-square theorem
+    no such number is a sum of three squares, so no (b, c, d) completes a.
     """
     try:
         k = index(k)
@@ -83,6 +86,9 @@ def four_squares(k: int) -> tuple[int, int, int, int]:
         scale *= 2
     for a in range(isqrt(k), -1, -1):
         r1 = k - a * a
+        low = r1 & -r1  # the largest power of 2 dividing r1 (0 for r1 = 0)
+        if low.bit_length() & 1 and (r1 // low) % 8 == 7:  # low a power of 4
+            continue  # r1 = 4^e (8m + 7)
         for b in range(min(a, isqrt(r1)), -1, -1):
             r2 = r1 - b * b
             for c in range(min(b, isqrt(r2)), -1, -1):
@@ -230,29 +236,26 @@ def _flip(move: Move) -> Move:
 def reduce(G: SymMatrix, target: str) -> Trace:
     """Reduce G to a representative of the requested definiteness class.
 
-    Definite targets require a nonsingular input.  The returned trace
-    verifies, preserves nullity and |det|, and for negative targets uses at
-    most 4*n_plus(G) negative kinks (5*n_plus for non-integral G) and
-    exactly n_plus(G) positive unkinks; symmetrically for positive targets.
+    G is checked as a lift where it enters, before any round runs, and
+    definite targets require it nonsingular.  The returned trace verifies,
+    preserves nullity and |det|, and for negative targets uses at most
+    4*n_plus(G) negative kinks (5*n_plus for non-integral G) and exactly
+    n_plus(G) positive unkinks; a positive target runs the same rounds on
+    -G, so its bounds are the same with every sign flipped.
     """
-    require_sym_matrix(G, "reduce")
+    require_lift(G, "reduce")
     if target not in TARGETS:
         raise KinkEqError(f"unknown target {target!r}")
-    if target in (POS_DEFINITE, POS_SEMIDEFINITE):
-        mirror = NEG_DEFINITE if target == POS_DEFINITE else NEG_SEMIDEFINITE
-        dual = reduce(G.neg(), mirror)
-        return Trace(G, tuple(_flip(m) for m in dual.moves), dual.end.neg())
-
-    start_inertia = inertia(G)
-    if target == NEG_DEFINITE and start_inertia.n_zero:
+    positive = target in (POS_DEFINITE, POS_SEMIDEFINITE)
+    current = G.neg() if positive else G
+    start_inertia = inertia(current)
+    if target in (NEG_DEFINITE, POS_DEFINITE) and start_inertia.n_zero:
         raise SingularForDefiniteTarget("definite targets need a nonsingular matrix")
 
     moves: list[Move] = []
-    current = G
     for _ in range(start_inertia.n_plus):
         current, round_moves = _elimination_round(current)
         moves.extend(round_moves)
-    trace = Trace(G, tuple(moves), current)
 
     kink_budget = (4 if G.is_integral() else 5) * start_inertia.n_plus
     stats = count_moves(moves)
@@ -261,4 +264,7 @@ def reduce(G: SymMatrix, target: str) -> Trace:
             f"move bound violated: {stats.neg_kinks} kinks (budget {kink_budget}), "
             f"{stats.pos_unkinks} unkinks (expected {start_inertia.n_plus})"
         )
-    return trace
+    if positive:
+        moves = [_flip(m) for m in moves]
+        current = current.neg()
+    return Trace(G, tuple(moves), current)

@@ -27,7 +27,13 @@ from kinkeq import (
     trace_stats,
     verify_trace,
 )
-from kinkeq.errors import InvalidTrace, KinkEqError, SizeMismatch, UnkinkShapeViolation
+from kinkeq.errors import (
+    InvalidTrace,
+    KinkEqError,
+    NotIntegerMatrix,
+    SizeMismatch,
+    UnkinkShapeViolation,
+)
 from kinkeq.reducer import TARGETS
 from kinkeq.worked_examples import five_to_minus_five_trace, obstructed_matrix_reduction_trace
 
@@ -79,6 +85,8 @@ class TestApplyMove:
     def test_congruence_matrix_checked_at_construction(self, matrix):
         # verify_trace reads matrix.rows, so only an IntMatrix may reach it
         with pytest.raises(KinkEqError, match="^a congruence matrix is an IntMatrix, got "):
+            Congruence(matrix)
+        with pytest.raises(NotIntegerMatrix):
             Congruence(matrix)
 
     @settings(max_examples=40, deadline=None)

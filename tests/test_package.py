@@ -160,6 +160,23 @@ def test_round_takes_one_basis_and_one_gram():
     assert not found, found
 
 
+def test_reduce_takes_one_path():
+    """``reduce`` runs every target through one round loop: a positive
+    target reduces -G there instead of calling ``reduce`` again, so one
+    ``Trace`` is built per call."""
+    tree = ast.parse((ROOT / "src" / "kinkeq" / "reducer.py").read_text(encoding="utf-8"))
+    (reduce_,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "reduce"
+    ]
+    assert not _calls(reduce_, "reduce")
+    traces = [
+        node
+        for node in ast.walk(reduce_)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Trace"
+    ]
+    assert len(traces) == 1
+
+
 def test_cct_search_keeps_one_function_per_row():
     """``cct_search`` defines exactly ``fill``, which places one row and
     hands the next its canonical state, and ``fill``'s ``rec`` generator,

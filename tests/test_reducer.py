@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kinkeq.moves
+import kinkeq.reducer
 from kinkeq import (
     Congruence,
     IntMatrix,
@@ -18,6 +19,7 @@ from kinkeq import (
     POS_DEFINITE,
     POS_SEMIDEFINITE,
     SymMatrix,
+    Trace,
     Unkink,
     congruence,
     count_moves,
@@ -43,6 +45,7 @@ from kinkeq.errors import (
 )
 from kinkeq.exact import diagonalizing_congruence
 from kinkeq.formats import parse_trace, serialize_trace
+from kinkeq.reducer import TARGETS
 from kinkeq.worked_examples import OBSTRUCTED_GRAM_MATRIX
 
 from oracles import four_squares_oracle, quadratic_value, random_sym, random_sym_rational
@@ -89,6 +92,33 @@ class TestFourSquares:
         # the plain search on 4^e * 7 does not finish in 20 s from e = 12 on;
         # with the factors of 4 stripped it searches 28 = 5^2 + 1 + 1 + 1
         assert four_squares(4**e * 7) == tuple(2 ** (e - 1) * x for x in (5, 1, 1, 1))
+
+    def test_corner_of_the_n14_sweep_stall(self):
+        # the corner - 1 of integer n = 14, case 0 of the sweep: k - isqrt(k)^2
+        # has the form 8m + 7, and the plain search exhausts every b and c
+        # under a = isqrt(k) before it lowers a
+        k = 32594956896023189045483955
+        assert (k - isqrt(k) ** 2) % 8 == 7
+        assert four_squares(k) == (5709199321797, 3982999, 2176, 637)
+
+    def test_matches_the_plain_search(self):
+        # skipping each a whose k - a^2 is no sum of three squares leaves
+        # the lexicographically greatest tuple unchanged
+        for k in range(3001):
+            assert four_squares(k) == four_squares_oracle(k), k
+
+    @pytest.mark.parametrize("a", [10**6, 2**40 + 8, 8 * 3**25, 10**15])
+    @pytest.mark.parametrize("e", [0, 1, 2])
+    def test_top_square_with_no_three_square_rest(self, a, e):
+        # k - isqrt(k)^2 = r = 4^e (8m + 7), of the size of a, is no sum of
+        # three squares, so the first term is below isqrt(k) = a; the plain
+        # search would try every b and c under sqrt(r) before lowering a
+        r = 4**e * (8 * (a // (8 * 4**e)) + 7)
+        k = a * a + r
+        assert isqrt(k) == a
+        t = four_squares(k)
+        assert sum(x * x for x in t) == k
+        assert a > t[0] >= t[1] >= t[2] >= t[3] >= 0
 
 
 def _witness_only(seed, n):
@@ -377,6 +407,39 @@ class TestReduce:
     def test_needs_a_symmatrix(self, target):
         with pytest.raises(KinkEqError, match="needs a SymMatrix, got list"):
             reduce([[1]], target)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize(
+        "G",
+        [
+            SymMatrix(0, ((1,),)),
+            SymMatrix(1, ((1, 2), (3,))),
+            SymMatrix(1, ((1, 2), (3, 4))),
+            SymMatrix(2, ((2,),)),
+        ],
+        ids=["den-0", "ragged", "not-symmetric", "not-least-den"],
+    )
+    def test_needs_a_lift(self, G, target, monkeypatch):
+        # G is checked where it enters, so no round runs on a matrix that is
+        # no lift, and no ZeroDivisionError or IndexError escapes from one
+        rounds = []
+        monkeypatch.setattr(kinkeq.reducer, "_elimination_round", rounds.append)
+        with pytest.raises(KinkEqError, match="^reduce is not the lift of a symmetric matrix"):
+            reduce(G, target)
+        assert rounds == []
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_builds_one_trace(self, target, monkeypatch):
+        traces = []
+
+        def counted(*fields):
+            traces.append(Trace(*fields))
+            return traces[-1]
+
+        monkeypatch.setattr(kinkeq.reducer, "Trace", counted)
+        trace = reduce(SymMatrix.from_rows([[2, 1, 0], [1, -3, 1], [0, 1, 1]]), target)
+        assert traces == [trace]
+        assert verify_trace(trace).valid
 
     def test_empty_matrix(self):
         trace = reduce(SymMatrix.empty(), NEG_SEMIDEFINITE)
