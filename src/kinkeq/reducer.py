@@ -70,9 +70,7 @@ def four_squares(k: int) -> tuple[int, int, int, int]:
     While 8 | k the search runs on k / 4 and the result is doubled: squares
     are 0, 1 or 4 mod 8, so every representation of a multiple of 8 has
     four even terms, and the representations of k are exactly twice those
-    of k / 4, in the same order.  The search skips every a for which
-    k - a^2 has the form 4^e (8m + 7): by Legendre's three-square theorem
-    no such number is a sum of three squares, so no (b, c, d) completes a.
+    of k / 4, in the same order.
     """
     try:
         k = index(k)
@@ -86,9 +84,6 @@ def four_squares(k: int) -> tuple[int, int, int, int]:
         scale *= 2
     for a in range(isqrt(k), -1, -1):
         r1 = k - a * a
-        low = r1 & -r1  # the largest power of 2 dividing r1 (0 for r1 = 0)
-        if low.bit_length() & 1 and (r1 // low) % 8 == 7:  # low a power of 4
-            continue  # r1 = 4^e (8m + 7)
         for b in range(min(a, isqrt(r1)), -1, -1):
             r2 = r1 - b * b
             for c in range(min(b, isqrt(r2)), -1, -1):
