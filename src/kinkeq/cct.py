@@ -73,9 +73,9 @@ def icct_trace(C: IntMatrix) -> Trace:
     size = n + m
     block = {(i, n + j): C[i, j] for i in range(n) for j in range(m)}
     transposed = {(j, i): v for (i, j), v in block.items()}
-    shears = (IntMatrix.shear(size, block), IntMatrix.shear(size, transposed))
     moves: list[Move] = [Kink(-1)] * m
-    moves += [Congruence(P) for P in shears if P != IntMatrix.identity(size)]
+    if any(block.values()):  # else both shears are the identity
+        moves += [Congruence(IntMatrix.shear(size, b)) for b in (block, transposed)]
     if n > 0 and m > 0:
         # rotate the leading I_n block to the back so it can be unkinked
         moves.append(Congruence(IntMatrix.rotation(size, n)))
@@ -101,6 +101,11 @@ def cct_search(G: SymMatrix) -> GramFactor | None:
     the one before, and each row's suffix squared norms for a Cauchy-Schwarz
     prune, which also checks dot products.  A row ends where its norm is
     spent and 0 is allowed; the rows cut to ``signed`` columns are the factor.
+    Each row's candidates come from one generator that walks the columns
+    with an index j and keeps, per column, its value, its lower bound and
+    the norm left; a placed row's dot product moves only at that row's
+    nonzero entries.  A candidate costs one ``yield``, and the search is one
+    frame deep per row, however long the rows.
     """
     require_integral(G, "cct_search")
     if inertia(G).n_minus > 0:
@@ -115,32 +120,56 @@ def cct_search(G: SymMatrix) -> GramFactor | None:
         with |x| bounded, sum x^2 = G_ii and x . rows[r] = G_ir for r < i."""
         if i == n:
             return GramFactor(IntMatrix.from_rows([row[:signed] for row in rows], cols=signed))
-        targets = list(g[i][:i])
         x = [0] * m
-        dots = [0] * i  # x . rows[r] over the columns set so far
+        gaps = list(g[i][:i])  # G_ir - x . rows[r] over the columns set so far
+        # the nonzero (r, rows[r][j]) of each column; every placed row is
+        # zero from column ``signed`` on
+        hits = [[(r, row[j]) for r, row in enumerate(rows) if row[j]] for j in range(signed)]
+        hits += [()] * (m - signed)
 
-        def rec(j: int, norm_left: int):
-            for r in range(i):
-                gap = targets[r] - dots[r]
-                if gap * gap > norm_left * suffix[r][j]:
-                    return
-            if not norm_left or j == m:
-                if not norm_left and (j == m or not tied[j] or x[j - 1] >= 0):
-                    yield tuple(x)
-                return
-            reach = isqrt(norm_left)  # v * v <= norm_left
-            lo = 0 if j >= signed else -reach
-            hi = min(reach, x[j - 1]) if tied[j] else reach
-            for v in range(hi, lo - 1, -1):
-                x[j] = v
-                for r in range(i):
-                    dots[r] += v * rows[r][j]
-                yield from rec(j + 1, norm_left - v * v)
-                for r in range(i):
-                    dots[r] -= v * rows[r][j]
-            x[j] = 0
+        def rec():
+            """Row i's candidates in descending order, one walk over its
+            columns: column j is entered with x[j:] zero and left[j] still
+            to spend, and takes its values from its bound down to low[j]."""
+            low = [0] * m
+            left = [g[i][i]] + [0] * m
+            j = 0
+            while j >= 0:
+                norm_left = left[j]
+                # past ``signed`` the gaps stand still and every tail[j] is 0,
+                # so the prune passes there as it passed at ``signed``
+                for gap, tail in zip(gaps, suffix) if j <= signed else ():
+                    if gap * gap > norm_left * tail[j]:
+                        break
+                else:
+                    if norm_left and j < m:
+                        reach = isqrt(norm_left)  # v * v <= norm_left
+                        low[j] = 0 if j >= signed else -reach
+                        v = min(reach, x[j - 1]) if tied[j] else reach
+                        if v >= low[j]:
+                            x[j] = v
+                            for r, c in hits[j]:
+                                gaps[r] -= v * c
+                            left[j + 1] = norm_left - v * v
+                            j += 1
+                            continue
+                    elif not norm_left and (j == m or not tied[j] or x[j - 1] >= 0):
+                        yield tuple(x)
+                # back up to the last column that can still step down
+                j -= 1
+                while j >= 0 and x[j] == low[j]:
+                    for r, c in hits[j]:
+                        gaps[r] += x[j] * c
+                    x[j] = 0
+                    j -= 1
+                if j >= 0:
+                    x[j] -= 1
+                    for r, c in hits[j]:
+                        gaps[r] += c
+                    left[j + 1] = left[j] - x[j] * x[j]
+                    j += 1
 
-        for row in rec(0, g[i][i]):
+        for row in rec():
             rows.append(row)
             suffix.append(list(accumulate((v * v for v in reversed(row)), initial=0))[::-1])
             # the entries from ``signed`` on are non-increasing and nonnegative

@@ -1,6 +1,8 @@
 """Gram factors: the I+CC^T chain, exhaustive search, 2x2 reduction."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -131,6 +133,18 @@ class TestCctSearch:
         # one row's columns on top of the rows before it
         G = SymMatrix.diagonal([1] * 120)
         assert cct_search(G).matrix == IntMatrix.identity(120)
+
+    def test_identity_needs_one_frame_per_row(self):
+        # each row walks its columns in one generator, so I_n needs about n
+        # frames above the caller's, not one per row and one per column
+        n = 150
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + n + 30)
+        try:
+            factor = cct_search(SymMatrix.diagonal([1] * n))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert factor.matrix == IntMatrix.identity(n)
 
 
 class TestGramFactorCanonical:

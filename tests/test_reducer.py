@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +92,33 @@ class TestFourSquares:
         # the plain search on 4^e * 7 does not finish in 20 s from e = 12 on;
         # with the factors of 4 stripped it searches 28 = 5^2 + 1 + 1 + 1
         assert four_squares(4**e * 7) == tuple(2 ** (e - 1) * x for x in (5, 1, 1, 1))
+
+    def test_corner_of_the_n14_sweep_stall(self):
+        # the corner - 1 of integer n = 14, case 0 of the sweep: k - isqrt(k)^2
+        # has the form 8m + 7, and the plain search exhausts every b and c
+        # under a = isqrt(k) before it lowers a
+        k = 32594956896023189045483955
+        assert (k - isqrt(k) ** 2) % 8 == 7
+        assert four_squares(k) == (5709199321797, 3982999, 2176, 637)
+
+    def test_matches_the_plain_search(self):
+        # skipping each a whose k - a^2 is no sum of three squares leaves
+        # the lexicographically greatest tuple unchanged
+        for k in range(3001):
+            assert four_squares(k) == four_squares_oracle(k), k
+
+    @pytest.mark.parametrize("a", [10**6, 2**40 + 8, 8 * 3**25, 10**15])
+    @pytest.mark.parametrize("e", [0, 1, 2])
+    def test_top_square_with_no_three_square_rest(self, a, e):
+        # k - isqrt(k)^2 = r = 4^e (8m + 7), of the size of a, is no sum of
+        # three squares, so the first term is below isqrt(k) = a; the plain
+        # search would try every b and c under sqrt(r) before lowering a
+        r = 4**e * (8 * (a // (8 * 4**e)) + 7)
+        k = a * a + r
+        assert isqrt(k) == a
+        t = four_squares(k)
+        assert sum(x * x for x in t) == k
+        assert a > t[0] >= t[1] >= t[2] >= t[3] >= 0
 
 
 def _witness_only(seed, n):
