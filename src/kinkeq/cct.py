@@ -120,7 +120,6 @@ def cct_search(G: SymMatrix) -> GramFactor | None:
         with |x| bounded, sum x^2 = G_ii and x . rows[r] = G_ir for r < i."""
         if i == n:
             return GramFactor(IntMatrix.from_rows([row[:signed] for row in rows], cols=signed))
-        x = [0] * m
         gaps = list(g[i][:i])  # G_ir - x . rows[r] over the columns set so far
         # the nonzero (r, rows[r][j]) of each column; every placed row is
         # zero from column ``signed`` on
@@ -131,7 +130,7 @@ def cct_search(G: SymMatrix) -> GramFactor | None:
             """Row i's candidates in descending order, one walk over its
             columns: column j is entered with x[j:] zero and left[j] still
             to spend, and takes its values from its bound down to low[j]."""
-            low = [0] * m
+            x, low = [0] * m, [0] * m
             left = [g[i][i]] + [0] * m
             j = 0
             while j >= 0:
