@@ -143,9 +143,13 @@ def _lift_rows(rows: Iterable[Iterable]) -> tuple[int, tuple[tuple[int, ...], ..
 
 
 def require_int_matrix(P: object, what: str) -> None:
-    """The check on an ``IntMatrix`` argument ``what``, where it enters."""
+    """The check on an ``IntMatrix`` argument ``what``, where it enters: its
+    type, and that every entry is an ``int`` (the raw constructor checks
+    the shape only), by one type scan at C speed."""
     if not isinstance(P, IntMatrix):
         raise NotIntegerMatrix(f"{what} is an IntMatrix, got {type(P).__name__}")
+    if not set(map(type, chain.from_iterable(P.entries))) <= {int}:
+        raise NotIntegerMatrix(f"the entries of {what} are not all int")
 
 
 def require_sym_matrix(G: object, what: str) -> None:
@@ -196,7 +200,8 @@ def _block_sum_rows(rows: Sequence[tuple[int, ...]], v: int, m: int) -> list[tup
 class IntMatrix:
     """Rectangular integer matrix; no symmetry assumed.  ``entries`` must
     hold ``rows`` rows of ``cols`` entries (``SizeMismatch`` otherwise);
-    ``congruence``, the verifier's path, checks that they are ints."""
+    every kernel that takes an IntMatrix checks that they are ints, by
+    ``require_int_matrix``."""
 
     rows: int
     cols: int
@@ -277,6 +282,7 @@ class IntMatrix:
         )
 
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
+        require_int_matrix(self, "a factor")
         require_int_matrix(other, "a factor")
         if self.cols != other.rows:
             raise SizeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
@@ -699,8 +705,6 @@ def congruence(G: SymMatrix, P: IntMatrix) -> SymMatrix:
     require_int_matrix(P, "P")
     if P.rows != P.cols or P.rows != G.n:
         raise SizeMismatch(f"P is {P.rows}x{P.cols}, G is {G.n}x{G.n}")
-    if not set(map(type, chain.from_iterable(P.entries))) <= {int}:
-        raise NotIntegerMatrix("the entries of P are not all int")
     det = _det_int(P.entries)
     if det not in (1, -1):
         raise NotUnimodular(f"det(P) = {write_number(det)}")

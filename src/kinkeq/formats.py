@@ -3,13 +3,25 @@
 All numbers are exact ("p" or "p/q" in ASCII digits, read by ``read_rows``
 and written at any length) and output is deterministic, so every format
 round-trips bit-exactly while its numbers are within the readers' limit.
+
+Small integers go through two tables built once at import, since almost
+every token of a Goeritz or certificate file is one of a few values such
+as 0, -1 or 2.  ``_READ`` maps the decimal token of each int in
+``_SMALL`` to its value, and ``_WRITE`` maps each such int to its token.
+A token or an int that is not a key falls through to ``int`` or ``str``,
+so every token reads to the value ``int`` gives it and every int is
+written as ``str`` writes it; a table only skips the conversion.  The
+writers print a symmetric matrix from its lift: an entry x over den > 1 as
+x/g or x/g "/" den/g, g = gcd(x, den), which is ``str(Fraction(x, den))``
+without building the Fraction.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterator
+from math import gcd
+from typing import Callable, Iterator
 
 from .errors import (
     BadRational,
@@ -25,6 +37,22 @@ from .moves import Congruence, Kink, Move, Trace, Unkink, require_trace
 _NUMBER_RE = re.compile("[+-]?[0-9]+(/[0-9]+)?")
 
 
+class _Table(dict):
+    """A dict of precomputed conversions whose miss is ``miss(key)``, not stored."""
+
+    def __init__(self, miss: Callable, pairs: Iterator[tuple]):
+        super().__init__(pairs)
+        self.miss = miss
+
+    def __missing__(self, key):
+        return self.miss(key)
+
+
+_SMALL = range(-256, 257)
+_READ = _Table(int, ((str(v), v) for v in _SMALL))  # token -> int
+_WRITE = _Table(str, ((v, str(v)) for v in _SMALL))  # int -> token
+
+
 def _require_text(text: object) -> None:
     """The check that a reader was given a ``str``."""
     if not isinstance(text, str):
@@ -37,17 +65,17 @@ def read_rows(text: str, line: int | None, integers: bool) -> list[list[int | Fr
 
     On ASCII text without "_", ``int`` and ``Fraction`` accept exactly the
     tokens of ``_NUMBER_RE``, so the bad token is looked for only when a
-    conversion fails.  A row with no "/" is read by ``int`` alone; every
-    other row is read token by token."""
+    conversion fails.  A row with no "/" is read through ``_READ`` alone
+    (``int`` on a miss); every other row is read token by token."""
     _require_text(text)
     if text == "empty":
         return []
     if text.isascii() and "_" not in text and not (integers and "/" in text):
         try:
             return [
-                list(map(int, row.split()))
+                list(map(_READ.__getitem__, row.split()))
                 if "/" not in row
-                else [int(t) if "/" not in t else Fraction(t) for t in row.split()]
+                else [_READ[t] if "/" not in t else Fraction(t) for t in row.split()]
                 for row in text.split(";")
             ]
         except (ValueError, ZeroDivisionError):
@@ -139,27 +167,31 @@ def parse_matrix(text: str) -> SymMatrix:
     return _symmetric(_read_table(text, "sym N", False)[1], None)
 
 
-def _write_row(row) -> str:
+def _write_ratio(x: int, den: int) -> str:
+    """``str(Fraction(x, den))`` for den > 0: "p", or "p/q" in lowest terms."""
+    g = gcd(x, den)
+    return _WRITE[x // g] if g == den else f"{_WRITE[x // g]}/{_WRITE[den // g]}"
+
+
+def _write_row(row, den: int) -> str:
+    """The entries of a lift row over ``den``, as ``str`` of their
+    Fractions prints them, through ``_WRITE``."""
     try:
-        return " ".join(map(str, row))
+        if den == 1:
+            return " ".join(map(_WRITE.__getitem__, row))
+        return " ".join([_write_ratio(x, den) for x in row])
     except ValueError:  # an entry past the int string-conversion limit
-        return " ".join(map(write_number, row))
+        return " ".join([write_number(Fraction(x, den)) for x in row])
 
 
-def _write_table(header: str, rows) -> str:
-    """The header line, then one line per row; str prints an int as "p"
-    and a Fraction as "p" or "p/q" in lowest terms."""
-    return "\n".join([header, *map(_write_row, rows)]) + "\n"
-
-
-def _printable_rows(G: SymMatrix):
-    """G's entries for the writers: its integer rows when den is 1."""
-    return G.rows if G.den == 1 else G.entries
+def _write_table(header: str, rows, den: int) -> str:
+    """The header line, then one line per row of the lift ``rows`` over ``den``."""
+    return "\n".join([header, *[_write_row(row, den) for row in rows]]) + "\n"
 
 
 def serialize_matrix(G: SymMatrix) -> str:
     require_sym_matrix(G, "serialize_matrix")
-    return _write_table(f"sym {G.n}", _printable_rows(G))
+    return _write_table(f"sym {G.n}", G.rows, G.den)
 
 
 def parse_int_matrix(text: str) -> IntMatrix:
@@ -170,26 +202,28 @@ def parse_int_matrix(text: str) -> IntMatrix:
 
 def serialize_int_matrix(C: IntMatrix) -> str:
     require_int_matrix(C, "C")
-    return _write_table(f"int {C.rows} {C.cols}", C.entries)
+    return _write_table(f"int {C.rows} {C.cols}", C.entries, 1)
 
 
-def _write_inline(rows) -> str:
-    """Rows joined by ";" on one line, or "empty" when there are none."""
-    return ";".join(map(_write_row, rows)) if rows else "empty"
+def _write_inline(rows, den: int) -> str:
+    """The rows of the lift ``rows`` over ``den`` joined by ";" on one
+    line, or "empty" when there are none."""
+    return ";".join([_write_row(row, den) for row in rows]) if rows else "empty"
 
 
 def serialize_trace(trace: Trace) -> str:
     """One move per line: "congr rows", "kink s", "unkink s"."""
     require_trace(trace, "serialize_trace")
-    lines = ["trace", _write_inline(_printable_rows(trace.start))]
+    lines = ["trace", _write_inline(trace.start.rows, trace.start.den)]
     for move in trace.moves:
         if isinstance(move, Congruence):
-            lines.append(f"congr {_write_inline(move.matrix.entries)}")
+            require_int_matrix(move.matrix, "a congruence matrix")
+            lines.append(f"congr {_write_inline(move.matrix.entries, 1)}")
         elif isinstance(move, Kink):
             lines.append(f"kink {move.sign:+d}")
         else:
             lines.append(f"unkink {move.sign:+d}")
-    lines.append(f"end {_write_inline(_printable_rows(trace.end))}")
+    lines.append(f"end {_write_inline(trace.end.rows, trace.end.den)}")
     return "\n".join(lines) + "\n"
 
 

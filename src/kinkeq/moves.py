@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import InvalidTrace, KinkEqError
+from .errors import InvalidTrace, KinkEqError, NotIntegerMatrix
 from .exact import (
     Inertia,
     IntMatrix,
@@ -31,7 +31,6 @@ from .exact import (
     block_extension,
     congruence,
     inertia_and_abs_det,
-    require_int_matrix,
     require_lift,
     require_sym_matrix,
     write_number,
@@ -43,7 +42,12 @@ class Congruence:
     matrix: IntMatrix
 
     def __post_init__(self):
-        require_int_matrix(self.matrix, "a congruence matrix")
+        # the type only: a trace may record any entries, and ``verify_trace``
+        # reports one that is not an int as the failure of its step
+        if not isinstance(self.matrix, IntMatrix):
+            raise NotIntegerMatrix(
+                f"a congruence matrix is an IntMatrix, got {type(self.matrix).__name__}"
+            )
 
 
 def _check_sign(kind: str, sign: int) -> None:

@@ -788,6 +788,23 @@ class TestMatmul:
                 assert left.matmul(right).entries == matmul_oracle(left, right)
 
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: IntMatrix(1, 1, (("x",),)).matmul(IntMatrix.identity(1)),
+            lambda: IntMatrix.identity(1).matmul(IntMatrix(1, 1, ((True,),))),
+            lambda: SymMatrix.from_rows([[1]]).gram(IntMatrix(1, 1, ((2.5,),))),
+            lambda: SymMatrix.from_rows([[2]]).unit_complement(IntMatrix(1, 1, ((1.0,),)), [1]),
+            lambda: GramFactor.from_matrix(IntMatrix(1, 2, ((1, "a"),))),
+            lambda: GramFactor(IntMatrix(1, 1, ((Fraction(1),),))),
+        ],
+        ids=["matmul-left", "matmul-right", "gram", "unit-complement", "from-matrix", "factor"],
+    )
+    def test_kernels_refuse_entries_that_are_not_int(self, call):
+        # the raw constructor checks the shape only; every kernel reads the entries
+        with pytest.raises(NotIntegerMatrix, match="are not all int$"):
+            call()
+
 class TestUnimodularity:
     def test_examples(self):
         assert is_unimodular(IntMatrix.from_rows([[2, 1], [3, 2]]))

@@ -10,18 +10,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinkeq import IntMatrix, SymMatrix, goeritz_matrix, parse_diagram, verify_trace
+from kinkeq import (
+    Congruence,
+    IntMatrix,
+    SymMatrix,
+    Trace,
+    goeritz_matrix,
+    parse_diagram,
+    verify_trace,
+)
 from kinkeq.cli import main
 from kinkeq.errors import (
     BadRational,
     DegreeError,
     KinkEqError,
+    NotIntegerMatrix,
     NotSymmetric,
     ParseError,
     UnknownVariable,
 )
 from kinkeq.exact import write_number
 from kinkeq.formats import (
+    _READ,
+    _WRITE,
     parse_int_matrix,
     parse_matrix,
     parse_quadratic_form,
@@ -172,6 +183,106 @@ class TestReadRows:
             read_rows(text, 4, integers)
         assert type(exc.value) is error
         assert str(exc.value) == message
+
+
+class TestTokenTables:
+    """Small integers are read and written through the ``_READ`` and
+    ``_WRITE`` tables; hit or miss, every token reads as ``int`` and
+    ``Fraction`` read it, every number is written as ``str`` writes it,
+    and every refusal is the one of the token's first fault."""
+
+    EDGES = ["256", "-256", "257", "-257", "+256", "0256", "-0257"]
+    LIMIT = "9" * 4300  # the longest token CPython's default limit reads
+
+    @staticmethod
+    def expected(token):
+        """What ``read_rows`` gives or raises for the one-token ``token``."""
+        if not token.isascii() or "_" in token:
+            return BadRational, f"line 3: bad number {token!r}"
+        try:
+            value = int(token)
+        except ValueError:
+            return BadRational, f"line 3: number too long ({len(token)} characters)"
+        assert value == Fraction(token)
+        return value
+
+    def test_tables_hold_their_own_conversions(self):
+        assert all(type(_READ[t]) is int and str(_READ[t]) == t for t in _READ)
+        assert all(type(v) is int and _WRITE[v] == str(v) for v in _WRITE)
+        assert {"256", "-256"} <= _READ.keys() and not {"257", "-257"} & _READ.keys()
+        assert {256, -256} <= _WRITE.keys() and not {257, -257} & _WRITE.keys()
+
+    def check_token(self, token):
+        expected = self.expected(token)
+        for integers in (False, True):
+            # the row path, and the token path of a row that holds a "/"
+            for text, at in ((token, 0), (f"1/2 {token}", 1)):
+                if integers and "/" in text:
+                    continue
+                if isinstance(expected, tuple):
+                    with pytest.raises(ParseError) as exc:
+                        read_rows(text, 3, integers)
+                    assert (type(exc.value), str(exc.value)) == expected
+                else:
+                    value = read_rows(text, 3, integers)[0][at]
+                    assert type(value) is int and value == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["", "+", "-"]),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=300),
+    )
+    def test_random_tokens_read_as_int(self, sign, zeros, value):
+        self.check_token(f"{sign}{'0' * zeros}{value}")
+
+    @pytest.mark.parametrize(
+        "token",
+        EDGES + ["-0", "+0", "00", LIMIT, "-" + LIMIT, "0" + LIMIT, "9" + LIMIT,
+                 "\u0663", "1\u0663", "\uff11", "1_0", "_1", "-_1"],
+        ids=EDGES + ["-0", "+0", "00", "at-limit", "signed-at-limit", "zero-past-limit",
+                     "past-limit", "arabic-indic", "mixed-digits", "fullwidth", "1_0", "_1", "-_1"],
+    )
+    def test_fixed_tokens(self, token):
+        self.check_token(token)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-300, max_value=300),
+                st.integers(min_value=-(2**2100), max_value=2**2100),
+            ),
+            max_size=5,
+        ),
+        st.integers(min_value=1, max_value=600),
+    )
+    def test_writers_print_as_str_and_read_back(self, values, den):
+        C = IntMatrix.from_rows([values], cols=len(values))
+        text = serialize_int_matrix(C)
+        assert text == f"int 1 {len(values)}\n" + " ".join(map(str, values)) + "\n"
+        assert parse_int_matrix(text) == C
+        G = SymMatrix.diagonal([Fraction(v, den) for v in values])
+        text = serialize_matrix(G)
+        assert text == f"sym {G.n}\n" + "".join(
+            " ".join(str(Fraction(x, G.den)) for x in row) + "\n" for row in G.rows
+        )
+        assert parse_matrix(text) == G
+        assert parse_trace(serialize_trace(Trace(G, (), G))) == Trace(G, (), G)
+
+    @pytest.mark.parametrize("den", [1, 3])
+    def test_rows_past_the_conversion_limit(self, den):
+        # an entry past the limit sends its whole row to write_number
+        big = 10**5000 + 7
+        rows = [[257, big], [big, -256]]
+        G = SymMatrix.from_rows([[Fraction(x, den) for x in row] for row in rows])
+        for line, row in zip(serialize_matrix(G).splitlines()[1:], rows):
+            tokens = [t.partition("/") for t in line.split(" ")]
+            assert [Fraction(decimal_value(p), int(q or 1)) for p, _, q in tokens] == [
+                Fraction(x, den) for x in row
+            ]
+            small = [t for t, x in zip(line.split(" "), row) if x != big]
+            assert small == [str(Fraction(x, den)) for x in row if x != big]
 
 
 class TestPastLimitOutput:
@@ -462,3 +573,14 @@ def test_refuses_what_is_not_text_or_the_written_value(call):
     # the readers take text and the writers their own value, or raise a library error
     with pytest.raises(KinkEqError):
         call()
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_writers_refuse_int_matrices_of_other_entries(entry):
+    # a bool or a float would hash equal to a key of the write table
+    P = IntMatrix(1, 1, ((entry,),))
+    with pytest.raises(NotIntegerMatrix, match="are not all int$"):
+        serialize_int_matrix(P)
+    G = SymMatrix.from_rows([[1]])
+    with pytest.raises(NotIntegerMatrix, match="are not all int$"):
+        serialize_trace(Trace(G, (Congruence(P),), G))
