@@ -20,16 +20,16 @@ from .exact import (
     require_int_matrix,
     require_integral,
 )
-from .moves import Congruence, Kink, Move, Trace, Unkink, apply_move, replay
+from .moves import Congruence, Kink, Move, Trace, Unkink
 
 
 @dataclass(frozen=True)
 class GramFactor:
     """Integer C with CC^T equal to some target Gram matrix.
 
-    Columns are kept canonical: zero columns dropped, the first nonzero
-    entry of every column positive, columns sorted lexicographically
-    descending.  Canonicalization never changes CC^T.
+    ``from_matrix`` canonicalizes C, and ``cct_search`` finds it canonical:
+    zero columns dropped, each column's first nonzero entry positive, columns
+    sorted descending.  The constructor does not; CC^T is the same either way.
     """
 
     matrix: IntMatrix
@@ -66,7 +66,8 @@ def icct_trace(C: IntMatrix) -> Trace:
 
     For n x m C: m negative kinks, the two block shears
     [[I, C], [0, I]] and [[I, 0], [C^T, I]], a block rotation putting the
-    surviving identity block last, and n positive unkinks.
+    surviving identity block last, and n positive unkinks.  All built in
+    closed form; ``verify_trace``, not this function, checks the chain.
     """
     require_int_matrix(C, "C")
     n, m = C.rows, C.cols
@@ -80,10 +81,7 @@ def icct_trace(C: IntMatrix) -> Trace:
         # rotate the leading I_n block to the back so it can be unkinked
         moves.append(Congruence(IntMatrix.rotation(size, n)))
     moves += [Unkink(1)] * n
-
     start, end = _identity_plus_gram(C), _identity_plus_gram(C.transpose()).neg()
-    if replay(start, moves) != end:
-        raise InternalError("replayed I + CC^T chain does not end at -(I + C^T C)")
     return Trace(start, tuple(moves), end)
 
 
@@ -187,10 +185,11 @@ def cct_search(G: SymMatrix) -> GramFactor | None:
 
 
 def reduce_binary_form(A: SymMatrix) -> tuple[SymMatrix, IntMatrix]:
-    """Gauss-reduce a positive-definite 2x2 integer matrix.
+    """Gauss-reduce a positive-definite 2x2 integer matrix under GL_2(Z).
 
     Returns (A', E) with A = E A' E^T, E unimodular, and A' = [[a, b], [b, c]]
-    satisfying |b| <= a <= c and b >= 0 whenever a = |b| or a = c.
+    the one form of A's class with 0 <= 2b <= a <= c.  Each step is a
+    rotation, a unit shear or diag(1, -1), applied unchecked by ``gram``.
     """
     require_integral(A, "reduce_binary_form")
     if A.n != 2:
@@ -211,14 +210,14 @@ def reduce_binary_form(A: SymMatrix) -> tuple[SymMatrix, IntMatrix]:
             if 2 * (b - t * a) == -a:
                 t -= 1
             S, S_inv = IntMatrix.shear(2, {(1, 0): -t}), IntMatrix.shear(2, {(1, 0): t})
-        elif b < 0 and (a == -b or a == c):
+        elif b < 0:
             S = S_inv = IntMatrix.shear(2, {(1, 1): -1})
         else:
             break
-        reduced = apply_move(reduced, Congruence(S))
+        reduced = reduced.gram(S)
         E = E.matmul(S_inv)
 
-    if not (abs(b) <= a <= c) or (b < 0 and (a == abs(b) or a == c)):
+    if not 0 <= 2 * b <= a <= c:
         raise InternalError(f"binary form [[{a}, {b}], [{b}, {c}]] is not reduced")
     return reduced, E
 

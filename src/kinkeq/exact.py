@@ -85,8 +85,8 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 
 def write_number(x: int | Fraction) -> str:
     """``str(x)`` of any length: "p" or "p/q", the mirror of the readers in
-    ``formats``; the one number writer of the package.  x is read by
-    ``_lift_rows``, which refuses what is not an int or a Fraction."""
+    ``formats``, whose row writers come here past ``str``'s digit limit.
+    x is read by ``_lift_rows``, which refuses what is not an int or a Fraction."""
     den, ((numerator,),) = _lift_rows([[x]])
     text = _write_long(numerator)
     return text if den == 1 else f"{text}/{_write_long(den)}"

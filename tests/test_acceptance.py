@@ -189,9 +189,7 @@ def test_criterion_7_binary_forms_200_random():
         A = random_posdef_2x2(rng)
         reduced, E = reduce_binary_form(A)
         a, b, c = reduced[0, 0], reduced[0, 1], reduced[1, 1]
-        assert abs(b) <= a <= c
-        if a == abs(b) or a == c:
-            assert b >= 0
+        assert 0 <= 2 * b <= a <= c
         assert congruence(reduced, E) == A
         assert reduced_gram_factor(reduced, E).gram() == A
     assert time.time() - t0 < 5

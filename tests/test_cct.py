@@ -61,18 +61,23 @@ class TestIcctTrace:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_random_factors(self, seed):
+        # icct_trace does not replay its chain, so this is its check: small
+        # dense factors, and factors shaped like those cct_search finds for
+        # the bench search workload (up to 6 x 10, entries -1, 0, 1)
         rng = random.Random(seed)
-        C = random_int_matrix(rng, rng.randint(0, 4), rng.randint(0, 4))
-        trace = icct_trace(C)
-        assert verify_trace(trace).valid
-        ctc = C.transpose().matmul(C)
-        expected_end = SymMatrix.from_rows(
-            [
-                [-(ctc.entries[i][j] + (1 if i == j else 0)) for j in range(C.cols)]
-                for i in range(C.cols)
-            ]
-        )
-        assert trace.end == expected_end
+        small = random_int_matrix(rng, rng.randint(0, 4), rng.randint(0, 4))
+        found = random_int_matrix(rng, rng.randint(3, 6), rng.randint(3, 10), bound=1)
+        for C in (small, found):
+            trace = icct_trace(C)
+            assert verify_trace(trace).valid
+            for F, chain_end, sign in ((C, trace.start, 1), (C.transpose(), trace.end, -1)):
+                gram = F.matmul(F.transpose()).entries
+                assert chain_end == SymMatrix.from_rows(
+                    [
+                        [sign * (x + (i == j)) for j, x in enumerate(row)]
+                        for i, row in enumerate(gram)
+                    ]
+                )
 
 
 class TestCctSearch:
@@ -169,6 +174,35 @@ class TestReduceBinaryForm:
         assert reduced == SymMatrix.from_rows([[2, 1], [1, 2]])
         assert congruence(reduced, E) == A
 
+    def test_sign_flip_inside(self):
+        # diag(1, -1) maps [[2, -1], [-1, 3]] to [[2, 1], [1, 3]], so both
+        # reduce to the one form with b >= 0
+        A = SymMatrix.from_rows([[2, -1], [-1, 3]])
+        reduced, E = reduce_binary_form(A)
+        assert reduced == SymMatrix.from_rows([[2, 1], [1, 3]])
+        assert E == IntMatrix.from_rows([[1, 0], [0, -1]])
+        assert congruence(reduced, E) == A
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_one_reduced_form_per_class(self, seed):
+        # A and P A P^T, P unimodular with det +-1, reduce to the same form
+        rng = random.Random(seed)
+        A = random_posdef_2x2(rng)
+        P = IntMatrix.identity(2)
+        for _ in range(rng.randint(1, 6)):
+            t = rng.choice((-3, -2, -1, 1, 2, 3))
+            step = rng.choice(
+                [
+                    IntMatrix.shear(2, {(1, 0): t}),
+                    IntMatrix.shear(2, {(0, 1): t}),
+                    IntMatrix.shear(2, {(1, 1): -1}),
+                    IntMatrix.rotation(2, 1),
+                ]
+            )
+            P = P.matmul(step)
+        assert reduce_binary_form(A)[0] == reduce_binary_form(congruence(A, P))[0]
+
     def test_rejects_singular(self):
         with pytest.raises(NotPositiveDefinite):
             reduce_binary_form(SymMatrix.from_rows([[1, 1], [1, 1]]))
@@ -183,9 +217,7 @@ class TestReduceBinaryForm:
         A = random_posdef_2x2(random.Random(seed))
         reduced, E = reduce_binary_form(A)
         a, b, c = reduced[0, 0], reduced[0, 1], reduced[1, 1]
-        assert abs(b) <= a <= c
-        if a == abs(b) or a == c:
-            assert b >= 0
+        assert 0 <= 2 * b <= a <= c
         assert congruence(reduced, E) == A
 
 

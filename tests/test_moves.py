@@ -151,11 +151,12 @@ class TestVerifyTrace:
             SymMatrix(1, ((Fraction(1, 2),),)),
             SymMatrix(1, ((True,),)),
             SymMatrix(1, None),
+            SymMatrix(1, (1,)),
         ],
         ids=[
             "den_zero", "ragged", "nonsymmetric", "den_negative", "den_fraction", "den_bool",
             "den_not_least", "empty_den_2", "rows_list", "row_list", "entry_fraction",
-            "entry_bool", "rows_none",
+            "entry_bool", "rows_none", "row_int",
         ],
     )
     def test_trace_refuses_what_is_not_a_lift(self, G, at):

@@ -82,27 +82,6 @@ def test_import_layers():
     assert not found, found
 
 
-def test_moves_applied_in_one_place():
-    """Only ``exact`` (the kernels) and ``moves`` (``apply_move``) know how a
-    move acts on a matrix; ``__init__`` may re-export ``congruence``."""
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in MODULES
-        if path.name not in ("exact.py", "moves.py")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (
-            isinstance(node, ast.ImportFrom)
-            and path.name != "__init__.py"
-            and any(alias.name == "congruence" for alias in node.names)
-        )
-        or (
-            isinstance(node, ast.Attribute)
-            and node.attr in ("congruence", "block_sum", "strip_block")
-        )
-    ]
-    assert MODULES and not found
-
-
 def _names(path, names):
     """The lines at which the source of ``path`` names one of ``names``, as
     a name, an attribute or an imported alias."""
@@ -118,22 +97,29 @@ def _names(path, names):
     ]
 
 
+def test_moves_applied_in_one_place():
+    """Only ``exact`` (the kernels) and ``moves`` know how a move acts on a
+    matrix, and only ``moves`` runs the checked path, ``apply_move`` and
+    ``replay``, for the verifier.  Every other module builds its moves
+    itself and applies them by the unchecked ``SymMatrix.gram``, so it
+    names none of ``replay``, ``apply_move``, ``congruence``,
+    ``block_sum`` and ``strip_block``; ``__init__`` may re-export."""
+    checked, kernels = {"replay", "apply_move"}, {"congruence", "block_sum", "strip_block"}
+    banned = {"moves.py": set(), "__init__.py": set(), "exact.py": checked}
+    found = [
+        hit
+        for path in MODULES
+        for hit in _names(path, banned.get(path.name, checked | kernels))
+    ]
+    assert MODULES and not found, found
+
+
 def test_verifier_never_uses_the_reducers_closed_form():
     """``moves`` applies every move by its kernel and never reaches for
     ``SymMatrix.unit_complement`` or the unchecked product
     ``SymMatrix.gram``, so the verifier stays independent of the shortcuts
     the reducer takes."""
     found = _names(ROOT / "src" / "kinkeq" / "moves.py", {"unit_complement", "gram"})
-    assert not found, found
-
-
-def test_reducer_never_checks_its_own_moves():
-    """The reducer builds every basis change itself, so it never names the
-    checked move path: neither ``replay`` nor ``apply_move`` nor
-    ``congruence``."""
-    found = _names(
-        ROOT / "src" / "kinkeq" / "reducer.py", {"replay", "apply_move", "congruence"}
-    )
     assert not found, found
 
 
