@@ -123,6 +123,16 @@ def test_verifier_never_uses_the_reducers_closed_form():
     assert not found, found
 
 
+def test_reducer_never_checks_its_own_moves():
+    """The reducer builds every basis change itself, so it never names the
+    checked move path: neither ``replay`` nor ``apply_move`` nor
+    ``congruence``."""
+    found = _names(
+        ROOT / "src" / "kinkeq" / "reducer.py", {"replay", "apply_move", "congruence"}
+    )
+    assert not found, found
+
+
 def test_round_takes_one_basis_and_one_gram():
     """``_elimination_round`` takes its basis, integralization included,
     from the public step ``integralize_first_row``, the reducer's one
