@@ -85,24 +85,24 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 
 def write_number(x: int | Fraction) -> str:
     """``str(x)`` of any length: "p" or "p/q", the mirror of the readers in
-    ``formats``, whose row writers come here past ``str``'s digit limit.
-    x is read by ``_lift_rows``, which refuses what is not an int or a Fraction."""
+    ``formats``, and the one writer of a number, which ``formats`` reaches
+    on a miss of its write table.  An int is split at a power of ten into
+    halves until each has at most 2000 bits (603 digits), short enough for
+    ``str`` under the least limit CPython allows (640 digits); the low
+    half is zero-padded to its k digits.  Anything else is read by
+    ``_lift_rows``, which refuses what is not an int or a Fraction, and
+    written from its numerator and denominator."""
+    if type(x) is int:
+        if x < 0:
+            return "-" + write_number(-x)
+        if x.bit_length() <= 2000:
+            return str(x)
+        k = x.bit_length() * 3 // 20  # about half the digits
+        high, low = divmod(x, 10**k)
+        return write_number(high) + write_number(low).zfill(k)
     den, ((numerator,),) = _lift_rows([[x]])
-    text = _write_long(numerator)
-    return text if den == 1 else f"{text}/{_write_long(den)}"
-
-
-def _write_long(x: int) -> str:
-    """The decimal digits of x, split at a power of ten into halves until
-    each is short enough for ``str`` (640 digits, the least limit CPython
-    allows); the low half is zero-padded to its k digits."""
-    if x < 0:
-        return "-" + _write_long(-x)
-    if x.bit_length() <= 2000:  # at most 603 digits
-        return str(x)
-    k = x.bit_length() * 3 // 20  # about half the digits
-    high, low = divmod(x, 10**k)
-    return _write_long(high) + _write_long(low).zfill(k)
+    text = write_number(numerator)
+    return text if den == 1 else f"{text}/{write_number(den)}"
 
 
 def _read_index(x: int) -> int:
@@ -435,6 +435,8 @@ def block_extension(inner: SymMatrix, outer: SymMatrix) -> int | None:
     the diagonal.  Then inertia(outer) is inertia(inner) plus the sign of
     s, and |det outer| = |det inner|.
     """
+    require_sym_matrix(inner, "block_extension")
+    require_sym_matrix(outer, "block_extension")
     d, rows = inner.den, inner.rows
     if outer.den != d or len(outer.rows) != len(rows) + 1:
         return None

@@ -4,16 +4,16 @@ All numbers are exact ("p" or "p/q" in ASCII digits, read by ``read_rows``
 and written at any length) and output is deterministic, so every format
 round-trips bit-exactly while its numbers are within the readers' limit.
 
-Small integers go through two tables built once at import, since almost
-every token of a Goeritz or certificate file is one of a few values such
-as 0, -1 or 2.  ``_READ`` maps the decimal token of each int in
+Every number goes through one of two tables built once at import, since
+almost every token of a Goeritz or certificate file is one of a few values
+such as 0, -1 or 2.  ``_READ`` maps the decimal token of each int in
 ``_SMALL`` to its value, and ``_WRITE`` maps each such int to its token.
-A token or an int that is not a key falls through to ``int`` or ``str``,
-so every token reads to the value ``int`` gives it and every int is
-written as ``str`` writes it; a table only skips the conversion.  The
-writers print a symmetric matrix from its lift: an entry x over den > 1 as
-x/g or x/g "/" den/g, g = gcd(x, den), which is ``str(Fraction(x, den))``
-without building the Fraction.
+A token that is not a key is read by ``Fraction`` if it holds "/" and by
+``int`` otherwise, and a number that is not a key is written by
+``exact.write_number``; a table only skips the conversion, so each
+direction has one path.  The writers print a symmetric matrix from its
+lift: an entry x over den > 1 as x/g or x/g "/" den/g, g = gcd(x, den),
+which is ``str(Fraction(x, den))`` without building the Fraction.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class _Table(dict):
 
 
 _SMALL = range(-256, 257)
-_READ = _Table(int, ((str(v), v) for v in _SMALL))  # token -> int
-_WRITE = _Table(str, ((v, str(v)) for v in _SMALL))  # int -> token
+_READ = _Table(lambda t: Fraction(t) if "/" in t else int(t), ((str(v), v) for v in _SMALL))
+_WRITE = _Table(write_number, ((v, str(v)) for v in _SMALL))  # number -> token
 
 
 def _require_text(text: object) -> None:
@@ -65,19 +65,14 @@ def read_rows(text: str, line: int | None, integers: bool) -> list[list[int | Fr
 
     On ASCII text without "_", ``int`` and ``Fraction`` accept exactly the
     tokens of ``_NUMBER_RE``, so the bad token is looked for only when a
-    conversion fails.  A row with no "/" is read through ``_READ`` alone
-    (``int`` on a miss); every other row is read token by token."""
+    conversion fails.  Every row is read through ``_READ`` alone, one
+    path whose miss reads a token by ``Fraction`` or ``int``."""
     _require_text(text)
     if text == "empty":
         return []
     if text.isascii() and "_" not in text and not (integers and "/" in text):
         try:
-            return [
-                list(map(_READ.__getitem__, row.split()))
-                if "/" not in row
-                else [_READ[t] if "/" not in t else Fraction(t) for t in row.split()]
-                for row in text.split(";")
-            ]
+            return [list(map(_READ.__getitem__, row.split())) for row in text.split(";")]
         except (ValueError, ZeroDivisionError):
             pass
     raise _refusal(text, line, integers)
@@ -175,13 +170,15 @@ def _write_ratio(x: int, den: int) -> str:
 
 def _write_row(row, den: int) -> str:
     """The entries of a lift row over ``den``, as ``str`` of their
-    Fractions prints them, through ``_WRITE``."""
+    Fractions prints them, through ``_WRITE`` alone: at any length, since
+    a miss goes to ``write_number``.  An entry of a hand-built row that is
+    not a number ``_WRITE`` takes raises ``BadRational``."""
     try:
         if den == 1:
             return " ".join(map(_WRITE.__getitem__, row))
         return " ".join([_write_ratio(x, den) for x in row])
-    except ValueError:  # an entry past the int string-conversion limit
-        return " ".join([write_number(Fraction(x, den)) for x in row])
+    except TypeError:  # unhashable, or no gcd with den
+        raise BadRational("a matrix row holds an entry that is not a number") from None
 
 
 def _write_table(header: str, rows, den: int) -> str:

@@ -999,6 +999,8 @@ class TestSparseElimination:
         lambda: find_positive_vector([[1]]),
         lambda: integralize_first_row([[1]], IntMatrix.identity(1)),
         lambda: goeritz_matrix(None),
+        lambda: block_extension([[1]], SymMatrix.empty()),
+        lambda: block_extension(SymMatrix.empty(), [[1]]),
     ],
 )
 def test_matrix_arguments_are_checked(call):

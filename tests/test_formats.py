@@ -562,15 +562,22 @@ def test_mutated_inputs_raise_only_kinkeq_errors():
         lambda: serialize_int_matrix(None),
         lambda: serialize_trace("x"),
         lambda: write_number(None),
+        lambda: serialize_matrix(SymMatrix(1, ((1.5,),))),
+        lambda: serialize_matrix(SymMatrix(1, (("7",),))),
+        lambda: serialize_matrix(SymMatrix(2, ((1.5,),))),
+        lambda: serialize_matrix(SymMatrix(1, (([1],),))),
     ],
     ids=[
         "parse_matrix", "parse_int_matrix", "parse_trace-bytes", "parse_diagram",
         "parse_quadratic_form", "read_rows", "read_number", "serialize_matrix",
         "serialize_int_matrix", "serialize_trace-str", "write_number",
+        "serialize_matrix-float", "serialize_matrix-str", "serialize_matrix-float-over-den",
+        "serialize_matrix-unhashable",
     ],
 )
 def test_refuses_what_is_not_text_or_the_written_value(call):
-    # the readers take text and the writers their own value, or raise a library error
+    # the readers take text and the writers their own value, or raise a library
+    # error; hand-built SymMatrix values that are not lifts are not written
     with pytest.raises(KinkEqError):
         call()
 

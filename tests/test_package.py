@@ -220,9 +220,14 @@ def test_traced_layers_exist():
     assert layers and not missing, missing
 
 
-def _exact_functions():
-    """Every function of ``exact`` by name, methods as ``Class.name``."""
-    tree = ast.parse((ROOT / "src" / "kinkeq" / "exact.py").read_text(encoding="utf-8"))
+def _module_tree(module):
+    return ast.parse((ROOT / "src" / "kinkeq" / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _functions(module):
+    """Every function of the kinkeq module ``module`` by name, methods as
+    ``Class.name``."""
+    tree = _module_tree(module)
     return {
         f"{scope.name}.{node.name}" if scope is not tree else node.name: node
         for scope in [tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))]
@@ -234,7 +239,7 @@ def _exact_functions():
 def _looping_functions(is_update):
     """Every function of ``exact`` by name, and the names of those that
     loop a node for which ``is_update`` holds."""
-    functions = _exact_functions()
+    functions = _functions("exact")
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     looping = {
         name
@@ -296,7 +301,7 @@ def test_one_reader_per_kind_of_number():
     entries against ``(int, Fraction)`` (the kink kernels' int sign checks
     are not entry reads), and every constructor and builder reads through
     them, so a second hand-written check cannot come back unnoticed."""
-    functions = _exact_functions()
+    functions = _functions("exact")
     assert {name for name, f in functions.items() if _uses(f, "index")} == {
         "_read_index",
         "_read_int_rows",
@@ -319,6 +324,30 @@ def test_one_reader_per_kind_of_number():
         if not _uses(functions[caller], reader)
     ]
     assert not missing, missing
+
+
+def test_one_number_path_each_way():
+    """``formats`` converts a token only through ``_READ`` and a number
+    only through ``_WRITE``: the bodies of the row reader and the row
+    writer name no converter, and ``write_number`` appears, apart from its
+    import, only as ``_WRITE``'s miss, so a second path around a table
+    cannot come back unnoticed."""
+    functions = _functions("formats")
+    converters = ["Fraction", "int", "str", "write_number"]
+    named = {
+        name: [c for c in converters if any(_uses(stmt, c) for stmt in functions[name].body)]
+        for name in ("read_rows", "_write_row")
+    }
+    assert named == {"read_rows": [], "_write_row": []}, named
+    tree = _module_tree("formats")
+    (miss,) = [
+        node.value.args[0]
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["_WRITE"]
+    ]
+    uses = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "write_number"]
+    assert uses == [miss], [n.lineno for n in uses]
 
 
 def _is_product_term(node):
